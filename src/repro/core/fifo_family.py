@@ -32,12 +32,17 @@ envelope first (:func:`affine_envelope`).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import optimize
 
+from repro.context.metrics import kernel_count
 from repro.curves.piecewise import PiecewiseLinearCurve
+from repro.errors import CurveError
+from repro.utils.tolerance import EPS, close
 from repro.utils.validation import check_positive
 
 __all__ = ["FamilyResult", "affine_envelope", "family_pair_bound",
@@ -69,34 +74,111 @@ def affine_envelope(curve: PiecewiseLinearCurve) -> tuple[float, float]:
     return max(0.0, sigma), rho
 
 
-def _effective_start(theta: float, rate: float, a: float) -> float:
-    """First instant a gated leftover curve can be positive.
+def _prepared_objective(f12: PiecewiseLinearCurve,
+                        sigma1: float, rho1: float,
+                        sigma2: float, rho2: float,
+                        c1: float, c2: float,
+                        ) -> Callable[[float, float], float]:
+    """The exact ``(theta1, theta2) -> delay`` objective of one block.
 
-    ``beta(t) = [R t - a]^+ . 1{t > theta}`` is identically 0 up to
-    ``S = max(theta, a / R)`` — for ``theta`` below the latency ``a/R``
-    the positive part, not the gate, is what holds the curve at zero.
+    Everything that does not depend on the thetas is done once here:
+    the stability test, the monotonicity check of ``f12``, its
+    breakpoints as Python floats and its values there.  The returned
+    plain-float closure evaluates ``f12`` and its lower pseudo-inverse
+    with the same formulas and comparisons as
+    :meth:`PiecewiseLinearCurve.__call__` (``np.interp``) and
+    :meth:`PiecewiseLinearCurve.pseudo_inverse`, so every value is
+    bit-identical to evaluating the curve methods per call.
     """
-    if rate <= 0:
-        return math.inf
-    return max(theta, a / rate if a > 0 else 0.0)
+    r1 = c1 - rho1
+    r2 = c2 - rho2
+    if r1 <= 0 or r2 <= 0 or f12.long_term_rate() >= min(r1, r2):
+        return lambda theta1, theta2: math.inf
+    nondecreasing = f12.is_nondecreasing()
+    xs = f12.x.tolist()
+    ys = f12.y.tolist()
+    n = len(xs)
+    x_end, y_end, final = xs[-1], ys[-1], f12.final_slope
+    seg_slopes = [(ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+                  for j in range(n - 1)]
+    # flat[k]: segment (k-1, k) is level up to tolerance
+    flat = [False] + [close(ys[k], ys[k - 1]) for k in range(1, n)]
+    # np.interp returns fp[j] exactly at xp[j], so f12 at its own
+    # breakpoints is just its y values (x[0] == 0 covers t = 0).
+    breakpoints = list(zip(xs, ys))
 
+    def f12_at(t: float) -> float:
+        if t > x_end:
+            return y_end + final * (t - x_end)
+        j = bisect_right(xs, t) - 1
+        if j == n - 1 or xs[j] == t:
+            return ys[j]
+        return seg_slopes[j] * (t - xs[j]) + ys[j]
 
-def _branch_inverse(v: float, start: float, gate_shift: float,
-                    rate: float, a: float) -> float:
-    """First time the (shifted) gated branch reaches level ``v``.
+    def preimage(target: float, k: int) -> float:
+        # k = searchsorted(y, target, side="left")
+        if target <= ys[0]:
+            return 0.0
+        if k < n:
+            y0, y1 = ys[k - 1], ys[k]
+            x0, x1 = xs[k - 1], xs[k]
+            if flat[k]:
+                return x1 if target > y0 else x0
+            return x0 + (target - y0) * (x1 - x0) / (y1 - y0)
+        if final <= EPS:
+            return math.inf if target > y_end + EPS else x_end
+        return x_end + (target - y_end) / final
 
-    The branch is ``beta(t - gate_shift)`` with ``beta`` zero up to
-    ``start`` and ``R t - a`` afterwards; its jump value at ``start`` is
-    ``J = [R*start - a]^+`` (0 when the curve is continuous there).
-    """
-    if v <= 0:
-        return 0.0
-    if rate <= 0:
-        return math.inf
-    jump = max(0.0, rate * start - a)
-    if v <= jump:
-        return gate_shift + start
-    return gate_shift + (a + v) / rate
+    def objective(theta1: float, theta2: float) -> float:
+        a1 = sigma1 - rho1 * theta1
+        a2 = sigma2 - rho2 * theta2
+        # The composition (beta1 ⊗ beta2)(t) = min(beta1(t - S2),
+        # beta2(t - S1)) for t > S1 + S2 (0 before), where S_i is each
+        # curve's effective start: max(theta_i, a_i / r_i), the gate or
+        # the latency, whichever is later.
+        s1 = max(theta1, a1 / r1 if a1 > 0 else 0.0)
+        s2 = max(theta2, a2 / r2 if a2 > 0 else 0.0)
+        gate = s1 + s2
+        # Each branch jumps to J_i = [r_i S_i - a_i]^+ at its start.
+        jump1 = max(0.0, r1 * s1 - a1)
+        jump2 = max(0.0, r2 * s2 - a2)
+
+        def tau(v: float) -> float:
+            # First time the composition reaches level v.  A branch
+            # reaches any level up to its jump at S1 + S2 (= gate).
+            if v <= 0:
+                return 0.0
+            t_a = gate if v <= jump1 else s2 + (a1 + v) / r1
+            t_b = gate if v <= jump2 else s1 + (a2 + v) / r2
+            return max(gate, t_a, t_b)
+
+        # Candidate maximizers of tau(F12(t)) - t: the through curve's
+        # breakpoints plus the pre-images of the branch jump levels
+        # (where tau kinks).
+        best = 0.0
+        for t, v in breakpoints:
+            best = max(best, tau(v) - t)
+        levels = [lv for lv in (jump1, jump2) if lv > 0]
+        if levels:
+            if not nondecreasing:
+                raise CurveError(
+                    "pseudo_inverse requires a nondecreasing curve")
+            k = bisect_left(ys, levels[0])
+            ks = [k]
+            if len(levels) == 2:
+                # np.searchsorted narrows each search by the previous
+                # key's index; on a sorted y this changes nothing.
+                if levels[0] < levels[1]:
+                    ks.append(bisect_left(ys, levels[1], k))
+                else:
+                    ks.append(bisect_left(ys, levels[1], 0, min(k + 1, n)))
+            for lv, k in zip(levels, ks):
+                t = preimage(lv, k)
+                if math.isfinite(t):
+                    best = max(best, tau(f12_at(t)) - t)
+        return best
+
+    return objective
 
 
 def family_delay_for_thetas(f12: PiecewiseLinearCurve,
@@ -109,42 +191,8 @@ def family_delay_for_thetas(f12: PiecewiseLinearCurve,
     ``sigma_i, rho_i`` describe the affine cross-traffic envelope at
     server ``i``; ``f12`` is the through-aggregate constraint curve.
     """
-    r1 = c1 - rho1
-    r2 = c2 - rho2
-    if r1 <= 0 or r2 <= 0 or f12.long_term_rate() >= min(r1, r2):
-        return math.inf
-    a1 = sigma1 - rho1 * theta1
-    a2 = sigma2 - rho2 * theta2
-    # The composition (beta1 ⊗ beta2)(t) = min(beta1(t - S2),
-    # beta2(t - S1)) for t > S1 + S2 (0 before), where S_i is each
-    # curve's effective start (gate or latency, whichever is later).
-    s1 = _effective_start(theta1, r1, a1)
-    s2 = _effective_start(theta2, r2, a2)
-    gate = s1 + s2
-
-    def tau(v: float) -> float:
-        if v <= 0:
-            return 0.0
-        t_a = _branch_inverse(v, s1, s2, r1, a1)
-        t_b = _branch_inverse(v, s2, s1, r2, a2)
-        return max(gate, t_a, t_b)
-
-    # Candidate maximizers of tau(F12(t)) - t: the through curve's
-    # breakpoints plus the pre-images of the branch jump levels (where
-    # tau kinks).
-    jump1 = max(0.0, r1 * s1 - a1)
-    jump2 = max(0.0, r2 * s2 - a2)
-    levels = [lv for lv in (jump1, jump2) if lv > 0]
-    cands = list(f12.x) + [0.0]
-    if levels:
-        inv = np.atleast_1d(f12.pseudo_inverse(np.asarray(levels)))
-        cands.extend(float(t) for t in inv if math.isfinite(t))
-    best = 0.0
-    for t in cands:
-        if t < 0:
-            continue
-        best = max(best, tau(float(f12(t))) - t)
-    return best
+    return _prepared_objective(f12, sigma1, rho1, sigma2, rho2,
+                               c1, c2)(theta1, theta2)
 
 
 def family_pair_bound(f12: PiecewiseLinearCurve,
@@ -163,10 +211,12 @@ def family_pair_bound(f12: PiecewiseLinearCurve,
     c1, c2:
         Server capacities.
     coarse:
-        Grid points per theta axis for the initial sweep.
+        Grid points per theta axis for the initial sweep (>= 1).
     refine:
         Run a Nelder–Mead polish from the best grid point.
     """
+    if coarse < 1:
+        raise ValueError(f"coarse must be >= 1, got {coarse}")
     check_positive("c1", c1)
     check_positive("c2", c2)
     sigma1, rho1 = affine_envelope(f1)
@@ -184,29 +234,29 @@ def family_pair_bound(f12: PiecewiseLinearCurve,
     tmax1 = 2.0 * scale1 / c1 if scale1 > 0 else 1.0 / c1
     tmax2 = 2.0 * scale2 / c2 if scale2 > 0 else 1.0 / c2
 
-    def objective(t1: float, t2: float) -> float:
-        if t1 < 0 or t2 < 0:
-            return math.inf
-        return family_delay_for_thetas(
-            f12, sigma1, rho1, sigma2, rho2, c1, c2, t1, t2)
-
+    objective = _prepared_objective(f12, sigma1, rho1, sigma2, rho2, c1, c2)
+    grid2 = np.linspace(0.0, tmax2, coarse).tolist()
     best = (math.inf, 0.0, 0.0)
-    for t1 in np.linspace(0.0, tmax1, coarse):
-        for t2 in np.linspace(0.0, tmax2, coarse):
-            d = objective(float(t1), float(t2))
+    for t1 in np.linspace(0.0, tmax1, coarse).tolist():
+        for t2 in grid2:
+            d = objective(t1, t2)
             if d < best[0]:
-                best = (d, float(t1), float(t2))
+                best = (d, t1, t2)
 
+    nfev = 0
     if refine and math.isfinite(best[0]):
         res = optimize.minimize(
-            lambda th: objective(max(th[0], 0.0), max(th[1], 0.0)),
+            lambda th: objective(max(float(th[0]), 0.0),
+                                 max(float(th[1]), 0.0)),
             x0=np.array([best[1], best[2]]),
             method="Nelder-Mead",
             options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 400},
         )
+        nfev = res.nfev
         if res.fun < best[0]:
             best = (float(res.fun), float(max(res.x[0], 0.0)),
                     float(max(res.x[1], 0.0)))
+    kernel_count("family.objective_evals", coarse * coarse + nfev)
 
     return FamilyResult(delay_through=best[0], theta1=best[1],
                         theta2=best[2])
