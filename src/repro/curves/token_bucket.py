@@ -59,8 +59,16 @@ class TokenBucket:
 
         ``b(I) = min(peak * I, sigma + rho * I)`` — continuous, concave,
         with ``b(0) = 0`` when a finite peak applies and ``b(0) = sigma``
-        for the pure affine case.
+        for the pure affine case.  Built once per bucket: the bucket is
+        frozen and curves are immutable, so every caller shares it.
         """
+        curve = self.__dict__.get("_curve")
+        if curve is None:
+            curve = self._build_curve()
+            object.__setattr__(self, "_curve", curve)
+        return curve
+
+    def _build_curve(self) -> PiecewiseLinearCurve:
         if math.isinf(self.peak):
             return PiecewiseLinearCurve.affine(self.sigma, self.rho)
         if self.peak == self.rho:
@@ -72,6 +80,10 @@ class TokenBucket:
         return PiecewiseLinearCurve(
             [0.0, knee], [0.0, self.peak * knee], self.rho
         )
+
+    def __getstate__(self) -> dict:
+        # the cached curve is rebuilt on demand, not pickled
+        return {"sigma": self.sigma, "rho": self.rho, "peak": self.peak}
 
     def delayed(self, delay: float) -> "TokenBucket":
         """Descriptor after traversing an element with delay bound *delay*.

@@ -1,12 +1,17 @@
 """Edge cases of the structural edit methods used by fault injection
 and the incremental engine: ``replace_server``, ``without_server`` and
-``replace_flow``."""
+``replace_flow``; and a differential check that every edit derives the
+same views as building the edited network from scratch."""
+
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.curves.token_bucket import TokenBucket
-from repro.errors import TopologyError
+from repro.errors import InstabilityError, TopologyError
 from repro.network.flow import Flow
+from repro.network.generators import random_feedforward, random_multicomponent
 from repro.network.topology import Network, ServerSpec
 
 
@@ -101,3 +106,203 @@ class TestReplaceFlow:
         with pytest.raises(TopologyError):
             Network(list(out.servers.values()) + [ServerSpec(1)],
                     out.flows.values())
+
+
+# ----------------------------------------------------------------------
+# Differential: every edit agrees with building the result from scratch
+# ----------------------------------------------------------------------
+
+def outcome(fn):
+    """``(exception type, message)`` of calling *fn*, or its value."""
+    try:
+        return ("ok", fn())
+    except (TopologyError, InstabilityError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def assert_same_views(derived, fresh):
+    assert list(derived.servers.items()) == list(fresh.servers.items())
+    assert list(derived.flows.items()) == list(fresh.flows.items())
+    for sid in fresh.servers:
+        assert derived.flows_at(sid) == fresh.flows_at(sid)
+    assert list(derived.iter_flows()) == list(fresh.iter_flows())
+    assert derived.is_feedforward == fresh.is_feedforward
+    assert (outcome(derived.topological_servers)
+            == outcome(fresh.topological_servers))
+    assert derived.content_key() == fresh.content_key()
+    assert outcome(derived.check_stability) == \
+        outcome(fresh.check_stability)
+    # successor order decides shortest-path tie breaks (rerouting)
+    assert ([(n, list(s)) for n, s in derived.server_graph.adjacency()]
+            == [(n, list(s)) for n, s in fresh.server_graph.adjacency()])
+
+
+def random_flow(rng, net, name):
+    sids = list(net.servers)
+    path = rng.sample(sids, rng.randint(1, min(4, len(sids))))
+    if rng.random() < 0.1:
+        path.insert(rng.randrange(len(path) + 1), "ghost")
+    return Flow(name, TokenBucket(rng.uniform(0.0, 2.0),
+                                  rng.choice([0.01, 0.05, 0.3])), path)
+
+
+def edit_pair(rng, net, op, i):
+    """``(derived thunk, fresh thunk)`` for one random edit of *net*."""
+    servers = list(net.servers.values())
+    flows = list(net.flows.values())
+    cycles = net.allow_cycles
+    if op == "with" or not flows:
+        name = (rng.choice(flows).name if flows and rng.random() < 0.15
+                else f"n{i}")
+        f = random_flow(rng, net, name)
+        return (lambda: net.with_flow(f),
+                lambda: Network(servers, flows + [f], allow_cycles=cycles))
+    if op == "without":
+        name = rng.choice(flows).name
+        return (lambda: net.without_flow(name),
+                lambda: Network(servers, [g for g in flows
+                                          if g.name != name],
+                                allow_cycles=cycles))
+    if op == "replace_flow":
+        f = random_flow(rng, net, rng.choice(flows).name)
+        return (lambda: net.replace_flow(f),
+                lambda: Network(servers, [f if g.name == f.name else g
+                                          for g in flows],
+                                allow_cycles=cycles))
+    spec = ServerSpec(rng.choice(servers).server_id,
+                      capacity=rng.choice([0.5, 1.0, 2.0]))
+    return (lambda: net.replace_server(spec),
+            lambda: Network([spec if s.server_id == spec.server_id else s
+                             for s in servers], flows,
+                            allow_cycles=cycles))
+
+
+OPS = ("with", "without", "replace_flow", "replace_server")
+
+
+@st.composite
+def edit_chains(draw):
+    make = draw(st.sampled_from([
+        lambda s: random_multicomponent(s, n_components=2,
+                                        servers_per_component=4,
+                                        flows_per_component=5),
+        lambda s: random_feedforward(s, n_servers=6, n_flows=8),
+    ]))
+    base = make(draw(st.integers(0, 30)))
+    if draw(st.booleans()):
+        base = Network(base.servers.values(), base.flows.values(),
+                       allow_cycles=True)
+    steps = draw(st.lists(st.tuples(st.sampled_from(OPS),
+                                    st.integers(0, 2 ** 32 - 1)),
+                          min_size=1, max_size=15))
+    return base, steps
+
+
+class TestEditsMatchFreshConstruction:
+    @settings(max_examples=150, deadline=None)
+    @given(edit_chains())
+    def test_edit_chain(self, chain):
+        net, steps = chain
+        seen = {net.version}
+        for i, (op, seed) in enumerate(steps):
+            derived, fresh = edit_pair(random.Random(seed), net, op, i)
+            got, want = outcome(derived), outcome(fresh)
+            if want[0] != "ok":
+                assert got == want
+                continue
+            assert got[0] == "ok", got
+            child = got[1]
+            assert child.version not in seen
+            seen.add(child.version)
+            assert_same_views(child, want[1])
+            net = child
+
+    def test_fresh_version_even_when_views_are_shared(self):
+        base = net3()
+        out = base.replace_server(ServerSpec(1, capacity=2.0))
+        assert out.version != base.version
+        assert out.topological_servers() == base.topological_servers()
+
+
+def fan():
+    # server 1 has two successors, first used by "a" then "b"
+    return Network([ServerSpec(k) for k in (1, 2, 3)],
+                   [flow("a", [1, 2]), flow("b", [1, 3]),
+                    flow("c", [1, 2])])
+
+
+class TestEditErrorsMatchConstructor:
+    @pytest.mark.parametrize("allow_cycles", [False, True])
+    def test_duplicate_name(self, allow_cycles):
+        base = Network(fan().servers.values(), fan().flows.values(),
+                       allow_cycles=allow_cycles)
+        dup = flow("b", [2, 3])
+        got = outcome(lambda: base.with_flow(dup))
+        want = outcome(lambda: Network(
+            base.servers.values(), list(base.flows.values()) + [dup],
+            allow_cycles=allow_cycles))
+        assert got == want and "duplicate flow name" in got[1]
+
+    @pytest.mark.parametrize("allow_cycles", [False, True])
+    def test_unknown_server(self, allow_cycles):
+        base = Network(fan().servers.values(), fan().flows.values(),
+                       allow_cycles=allow_cycles)
+        bad = flow("d", [2, 9])
+        for derive, flows in (
+                (lambda: base.with_flow(bad),
+                 list(base.flows.values()) + [bad]),
+                (lambda: base.replace_flow(flow("a", [1, 9])),
+                 [flow("a", [1, 9])] + list(base.flows.values())[1:])):
+            got = outcome(derive)
+            want = outcome(lambda: Network(base.servers.values(), flows,
+                                           allow_cycles=allow_cycles))
+            assert got == want and "unknown server" in got[1]
+
+    def test_cycle_rejected_like_constructor(self):
+        base = fan().without_flow("a")
+        closing = flow("d", [3, 2, 1])
+        got = outcome(lambda: base.with_flow(closing))
+        want = outcome(lambda: Network(
+            base.servers.values(), list(base.flows.values()) + [closing]))
+        assert got == want and "cycle" in got[1]
+
+    def test_cycle_allowed_with_allow_cycles(self):
+        base = Network(fan().servers.values(), fan().flows.values(),
+                       allow_cycles=True)
+        cyclic = base.with_flow(flow("d", [3, 1]))
+        assert not cyclic.is_feedforward
+        with pytest.raises(TopologyError):
+            cyclic.topological_servers()
+        # dropping the closing flow makes it feed-forward again
+        back = cyclic.without_flow("d")
+        assert back.is_feedforward
+        assert_same_views(back, Network(back.servers.values(),
+                                        back.flows.values(),
+                                        allow_cycles=True))
+
+    def test_dropping_first_user_keeps_successor_order(self):
+        out = fan().without_flow("a")
+        assert_same_views(out, Network(out.servers.values(),
+                                       out.flows.values()))
+        assert list(out.server_graph.successors(1)) == [3, 2]
+
+
+class TestReturnedViewsAreReadOnly:
+    def test_mutating_flows_at_leaves_network_unchanged(self):
+        net = fan()
+        before = net.flows_at(1)
+        got = net.flows_at(1)
+        got.clear()
+        got.append(flow("x", [1]))
+        assert net.flows_at(1) == before
+        assert net.utilization(1) == pytest.approx(0.3)
+
+    def test_flows_and_servers_are_views(self):
+        net = fan()
+        with pytest.raises(TypeError):
+            net.flows["x"] = flow("x", [1])
+        with pytest.raises(TypeError):
+            net.servers[9] = ServerSpec(9)
+        assert "a" in net.flows and 1 in net.servers
+        assert net.with_flow(flow("x", [1])).flows.keys() != \
+            net.flows.keys()
