@@ -46,7 +46,13 @@ from repro.utils.tolerance import EPS, close
 from repro.utils.validation import check_positive
 
 __all__ = ["FamilyResult", "affine_envelope", "family_pair_bound",
-           "family_delay_for_thetas"]
+           "family_delay_for_thetas", "SOLVER_VERSION"]
+
+#: Version of the θ-family solver's results.  Bumped whenever a change
+#: can move its bounds, and part of every cached block key, so a block
+#: stored by an older solver never answers for this one.  2: the
+#: right-limit candidate for through aggregates that start at zero.
+SOLVER_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -106,6 +112,17 @@ def _prepared_objective(f12: PiecewiseLinearCurve,
     # np.interp returns fp[j] exactly at xp[j], so f12 at its own
     # breakpoints is just its y values (x[0] == 0 covers t = 0).
     breakpoints = list(zip(xs, ys))
+    # t0: the last point of an initial zero run of f12, when f12 rises
+    # after it.  tau(0) = 0 but tau(v) >= gate for every v > 0, so the
+    # bits arriving just after t0 wait until the gate: the supremum
+    # gate - t0 is a right limit that no breakpoint attains.
+    t0 = None
+    if ys[0] <= 0.0:
+        k = 0
+        while k + 1 < n and ys[k + 1] <= 0.0:
+            k += 1
+        if k + 1 < n or final > 0.0:
+            t0 = xs[k]
 
     def f12_at(t: float) -> float:
         if t > x_end:
@@ -152,10 +169,11 @@ def _prepared_objective(f12: PiecewiseLinearCurve,
             t_b = gate if v <= jump2 else s1 + (a2 + v) / r2
             return max(gate, t_a, t_b)
 
-        # Candidate maximizers of tau(F12(t)) - t: the through curve's
-        # breakpoints plus the pre-images of the branch jump levels
-        # (where tau kinks).
-        best = 0.0
+        # Candidate maximizers of tau(F12(t)) - t: the right limit
+        # after f12's initial zero run, the through curve's breakpoints
+        # plus the pre-images of the branch jump levels (where tau
+        # kinks).
+        best = 0.0 if t0 is None else max(0.0, gate - t0)
         for t, v in breakpoints:
             best = max(best, tau(v) - t)
         levels = [lv for lv in (jump1, jump2) if lv > 0]

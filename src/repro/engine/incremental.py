@@ -44,6 +44,7 @@ from repro.core.integrated import (
     IntegratedAnalysis,
     evaluate_block,
 )
+from repro.core.fifo_family import SOLVER_VERSION as FAMILY_SOLVER_VERSION
 from repro.curves.kernels import current_kernel
 from repro.engine.cache import ResultCache
 from repro.engine.depgraph import DependencyGraph, affected_cone
@@ -84,11 +85,12 @@ def _server_key(si: ServerInput) -> bytes:
 def _block_key(bi: BlockInput) -> bytes:
     """Content digest of one integrated block's exact inputs.
 
-    Includes the curve kernel, like :func:`_server_key`.
+    Includes the curve kernel, like :func:`_server_key`, and the
+    θ-family solver version.
     """
     parts: list[object] = ["block", bi.kind, bi.capacities,
                            bi.disciplines, bi.use_family_kernel,
-                           bi.kernel]
+                           bi.kernel, FAMILY_SOLVER_VERSION]
     for fa in bi.flows:
         parts.extend((fa.name, fa.role, fa.has_next, fa.priority, fa.rho,
                       fa.curve.x, fa.curve.y, fa.curve.final_slope))

@@ -25,7 +25,8 @@ from repro.utils.validation import check_positive
 
 # ----------------------------------------------------------------------
 # Oracle: the scalar objective and solver as they were before the
-# objective was prepared once per block, kept verbatim (only renamed).
+# objective was prepared once per block, kept verbatim (only renamed)
+# except for the zero-start right-limit candidate, which both gained.
 # Every value of the prepared objective must match it bit for bit.
 # ----------------------------------------------------------------------
 
@@ -105,6 +106,12 @@ def oracle_delay_for_thetas(f12: PiecewiseLinearCurve,
         if t < 0:
             continue
         best = max(best, tau(float(f12(t))) - t)
+    # Added with the zero-start fix (not in the original solver): when
+    # F12 is 0 up to t0 and positive after it, bits arriving at t0+
+    # wait until the gate, so the supremum includes gate - t0.
+    zero_at = [float(x) for x, y in zip(f12.x, f12.y) if y <= 0]
+    if zero_at and (f12.y[-1] > 0 or f12.final_slope > 0):
+        best = max(best, gate - max(zero_at))
     return best
 
 
@@ -449,3 +456,53 @@ class TestSolverIdentity:
                                      ctx=AnalysisContext(metrics=metrics))
         # 8 blocks: 8 * 25 * 25 grid points + 1 707 Nelder-Mead calls
         assert metrics.get("family.objective_evals") == 6707
+
+
+class TestZeroStartThrough:
+    """A through aggregate with F12 = 0 on [0, t0] waits until the gate
+    for every bit after t0: the right limit gate - t0 is a candidate."""
+
+    def test_zero_burst_pair_matches_theorem1(self):
+        # the objective used to miss the right limit at t = 0+ and
+        # returned 0.0 here; Theorem 1 gives 1.0
+        res = family_pair_bound(P.line(0.2), P.affine(1.0, 0.2), P.zero(),
+                                1.0, 1.0)
+        assert res.delay_through == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("thetas", [(0.0, 0.0), (2.0, 1.0),
+                                        (5.0, 5.0)])
+    def test_peak_limited_through_waits_for_the_gate(self, thetas):
+        # t0 = 0 for a peak-limited bucket: F12(0) = 0, F12(0+) > 0,
+        # and the composition is 0 up to its gate >= theta1 + theta2
+        f12 = TokenBucket(1.0, 0.2, peak=1.0).constraint_curve()
+        d = family_delay_for_thetas(f12, 1.0, 0.2, 0.5, 0.1, 1.0, 1.0,
+                                    *thetas)
+        assert d >= sum(thetas)
+
+    def test_zero_run_then_rise(self):
+        f12 = P([0.0, 2.0], [0.0, 0.0], 0.3)
+        # gate = theta1 + theta2 = 5 with zero cross traffic; t0 = 2
+        d = family_delay_for_thetas(f12, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0,
+                                    3.0, 2.0)
+        assert d == 3.0
+
+    def test_identically_zero_through_has_no_delay(self):
+        d = family_delay_for_thetas(P.zero(), 1.0, 0.2, 0.5, 0.1, 1.0,
+                                    1.0, 2.0, 1.0)
+        assert d == 0.0
+
+    def test_network_reproducer_is_sound(self):
+        from repro.network.flow import Flow
+        from repro.network.topology import Network, ServerSpec
+        from repro.validate.oracles import check_soundness
+
+        net = Network([ServerSpec(1), ServerSpec(2)],
+                      [Flow("thru", TokenBucket(0.0, 0.2), (1, 2)),
+                       Flow("x1", TokenBucket(1.0, 0.2), (1,)),
+                       Flow("x2", TokenBucket(1.0, 0.2), (2,))])
+        report = IntegratedAnalysis().analyze(net)
+        # the simulator reaches 1.4 on thru; the bound used to be 0.0
+        assert report.delay_of("thru") >= 1.4
+        assert check_soundness(net, "thru",
+                               analyzers={"integrated":
+                                          IntegratedAnalysis()}) == []
