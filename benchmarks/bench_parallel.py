@@ -8,11 +8,6 @@ spread across the cones.  The batch is admitted twice — serial
 *bit-identically*: same admitted set, same reasons, same bounds down to
 ``float.hex``.  A single differing decision fails the run.
 
-The same gate covers whole-network analysis:
-:class:`repro.engine.ParallelAnalysis` must reproduce the serial
-:class:`~repro.analysis.decomposed.DecomposedAnalysis` report exactly
-(``reports_identical``).
-
 Runs two ways:
 
 * ``python benchmarks/bench_parallel.py`` — standalone, writes
@@ -38,7 +33,7 @@ from repro.admission.requests import ConnectionRequest
 from repro.analysis.decomposed import DecomposedAnalysis
 from repro.context import AnalysisContext, MetricsRegistry
 from repro.curves.token_bucket import TokenBucket
-from repro.engine import ParallelAnalysis, reports_identical
+from repro.engine import reports_identical
 from repro.engine.incremental import describe_report_difference
 from repro.network.generators import random_multicomponent
 
@@ -93,23 +88,6 @@ def run_bench(quick: bool = False) -> dict:
     reqs = _requests(cfg)
     mismatches: list[str] = []
 
-    # -- whole-network analysis: ParallelAnalysis vs serial ------------
-    serial_analyzer = DecomposedAnalysis()
-    t0 = time.perf_counter()
-    serial_report = serial_analyzer.analyze(net)
-    analysis_serial_s = time.perf_counter() - t0
-    par_analyzer = ParallelAnalysis(DecomposedAnalysis(),
-                                    workers=cfg["workers"])
-    t0 = time.perf_counter()
-    par_report = par_analyzer.analyze(net)
-    analysis_parallel_s = time.perf_counter() - t0
-    if not reports_identical(serial_report, par_report):
-        mismatches.append("analysis: " + str(
-            describe_report_difference(serial_report, par_report)))
-    if par_analyzer.parallel_runs != 1:
-        mismatches.append("analysis: parallel fast path did not engage "
-                          f"(fallbacks={par_analyzer.serial_fallbacks})")
-
     # -- batch admission: workers=1 vs workers=N -----------------------
     def admit_all(workers: int):
         ctrl = AdmissionController(net, DecomposedAnalysis())
@@ -141,10 +119,6 @@ def run_bench(quick: bool = False) -> dict:
         "quick": quick,
         "config": {**cfg, "seed": SEED, "analyzer": "decomposed"},
         "cpu_count": os.cpu_count(),
-        "analysis_serial_s": analysis_serial_s,
-        "analysis_parallel_s": analysis_parallel_s,
-        "analysis_speedup": (analysis_serial_s / analysis_parallel_s
-                             if analysis_parallel_s else None),
         "batch_serial_s": batch_serial_s,
         "batch_parallel_s": batch_parallel_s,
         "batch_speedup": (batch_serial_s / batch_parallel_s
@@ -187,7 +161,7 @@ def main() -> int:
           f" vs {result['config']['workers']} workers"
           f" {result['batch_parallel_s']:.3f}s —"
           f" {result['batch_speedup']:.2f}x over {result['batch_groups']:g}"
-          f" cones; analysis {result['analysis_speedup']:.2f}x -> {out}")
+          f" cones -> {out}")
 
     for m in result["mismatches"]:
         print(f"MISMATCH: {m}", file=sys.stderr)

@@ -64,7 +64,6 @@ from repro.resilience import (
     ServerDegradation,
     ServerFailure,
     SurvivabilityReport,
-    call_with_budget,
     render_survivability,
     survivability,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "SurvivabilityReport",
     "survivability",
     "render_survivability",
-    "call_with_budget",
     # errors
     "ReproError",
     "InstabilityError",

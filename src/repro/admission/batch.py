@@ -33,7 +33,6 @@ groups).
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, Sequence
 
@@ -41,8 +40,15 @@ import networkx as nx
 
 from repro.admission.requests import AdmissionDecision, ConnectionRequest
 from repro.analysis.decomposed import DecomposedAnalysis
-from repro.context import AnalysisContext, Deadline
+from repro.context import AnalysisContext, Deadline, MetricsRegistry
 from repro.curves.kernels import current_kernel
+from repro.engine.parallel import (
+    merge_worker_metrics,
+    open_worker_store,
+    store_interceptors,
+    subnetwork,
+    write_seeds,
+)
 from repro.errors import (
     AnalysisError,
     FlowError,
@@ -50,7 +56,6 @@ from repro.errors import (
     TopologyError,
 )
 from repro.network.flow import Flow
-from repro.network.topology import Network
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.admission.controller import AdmissionController
@@ -79,29 +84,13 @@ def _admit_group(payload: tuple) -> dict:
     """
     (subnet, items, capped, kernel, budget, label, want_records,
      store_path) = payload
-    from repro.analysis.propagation import server_step
-    from repro.context.metrics import MetricsRegistry
-    from repro.engine.parallel import open_worker_store
     metrics = MetricsRegistry()
     analyzer = DecomposedAnalysis(capped)
-    records: dict[bytes, tuple[object, float]] = {}
+    records: dict = {}
     store = open_worker_store(store_path)
     step = None
     if want_records or store is not None:
-        from repro.engine.incremental import _server_key
-
-        def step(sid, si):
-            key = _server_key(si)
-            if store is not None:
-                entry = store.get(key)
-                if entry is not None:
-                    metrics.inc("store.hits")
-                    return entry.value
-                metrics.inc("store.misses")
-            t0 = time.perf_counter()
-            value = server_step(si)
-            records[key] = (value, time.perf_counter() - t0)
-            return value
+        step, _ = store_interceptors(store, records, metrics)
 
     current = subnet
     decisions: list[tuple] = []
@@ -154,19 +143,12 @@ def _admit_group(payload: tuple) -> dict:
         store.close()
     return {"ok": True, "decisions": decisions,
             "metrics": metrics.as_dict(),
-            "records": [(k, v, dt) for k, (v, dt) in records.items()]}
+            "records": list(records.values())}
 
 
 # ----------------------------------------------------------------------
 # driver side
 # ----------------------------------------------------------------------
-
-def _induced_subnetwork(network: Network, keep: set) -> Network:
-    """Induced subnet on *keep*, preserving insertion order everywhere."""
-    specs = [s for sid, s in network.servers.items() if sid in keep]
-    flows = [f for f in network.flows.values() if f.path[0] in keep]
-    return Network(specs, flows, allow_cycles=network.allow_cycles)
-
 
 class _UnionFind:
     def __init__(self) -> None:
@@ -288,7 +270,7 @@ def plan_batch(controller: "AdmissionController",
         roots = {uf.find(comp_of[f.path[0]]) for _, f in items}
         keep = {sid for sid in network.servers
                 if uf.find(comp_of[sid]) in roots}
-        payloads.append((_induced_subnetwork(network, keep), items,
+        payloads.append((subnetwork(network, keep), items,
                          base.capped_propagation, kernel,
                          controller._budget, primary.name, want_records,
                          store_path))
@@ -299,7 +281,6 @@ def plan_batch(controller: "AdmissionController",
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for items, result in zip(ordered_groups,
                                  pool.map(_admit_group, payloads)):
-            from repro.engine.parallel import merge_worker_metrics
             merge_worker_metrics(ctx, result.get("metrics"))
             if not result["ok"]:
                 ctx.count("parallel.group_serial_reruns")
@@ -311,15 +292,6 @@ def plan_batch(controller: "AdmissionController",
                     analyzer=label))
                 if listener is not None and label:
                     listener(primary, None)
-    if seeds:
-        if controller.engine is not None:
-            # seed_cache also persists to the engine's store (when
-            # writable) — the single serialized write of worker results
-            controller.engine.seed_cache(seeds)
-        elif store is not None and not store.read_only:
-            from repro.errors import StoreError
-            try:
-                store.seed(seeds)
-            except (StoreError, OSError):
-                ctx.count("store.write_errors")
+    # the single serialized write of worker results
+    write_seeds(seeds, ctx, store=store, engine=controller.engine)
     return planned

@@ -5,13 +5,13 @@ by itself: code under a deadline calls :meth:`check` at natural
 boundaries (per-server steps, per-block evaluations, per-scenario
 retests) and gets an :class:`~repro.errors.AnalysisTimeoutError` once
 the budget is exhausted — on any thread, with no signal handlers and no
-leaked workers, unlike the ``SIGALRM``-or-thread design this replaces
-as the primary mechanism (:mod:`repro.resilience.budget` keeps the
-signal path as an opt-in backstop for non-cooperative code).
+leaked workers.  It is the project's one timeout mechanism;
+:meth:`Deadline.signal_backstop` adds an opt-in ``SIGALRM`` guard for
+code that never checkpoints.
 
 Deadlines are also *cancellable*: :meth:`cancel` makes every subsequent
-:meth:`check` raise, which is how an abandoned thread-fallback
-computation is told to stop instead of running to completion.
+:meth:`check` raise, so an abandoned computation stops at its next
+checkpoint instead of running to completion.
 """
 
 from __future__ import annotations
@@ -117,8 +117,7 @@ class Deadline:
         loops).  No-op off the POSIX main thread and when the budget is
         already spent (the next :meth:`check` handles that).  An outer
         pending timer (e.g. a test-suite hang guard) is re-armed with
-        its remaining time on exit, mirroring the behavior of
-        :func:`repro.resilience.budget.call_with_budget`.
+        its remaining time on exit.
         """
         remaining = self.remaining()
         if not _sigalrm_usable() or remaining <= 0:

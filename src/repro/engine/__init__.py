@@ -27,12 +27,7 @@ from repro.engine.incremental import (
     describe_report_difference,
     reports_identical,
 )
-from repro.engine.parallel import (
-    ParallelAnalysis,
-    merge_reports,
-    partition_components,
-    subnetwork,
-)
+from repro.engine.parallel import subnetwork
 from repro.engine.stats import EngineStats
 
 __all__ = [
@@ -44,8 +39,5 @@ __all__ = [
     "CacheEntry",
     "reports_identical",
     "describe_report_difference",
-    "ParallelAnalysis",
-    "partition_components",
     "subnetwork",
-    "merge_reports",
 ]

@@ -1,94 +1,50 @@
-"""Component-parallel delay analysis over independent dependency cones.
+"""Shared plumbing for the process pools over independent components.
 
 The paper's per-server decomposition makes weakly-connected components
-of the server graph *embarrassingly parallel*: a flow's end-to-end
-bound depends only on the servers its component contains (arrival
-curves propagate along flow paths, and paths never leave a component).
-This module exploits that:
+of the server graph independent under Algorithm Decomposed: arrival
+curves propagate along flow paths, and paths never leave a component.
+Two pools use that — batch admission
+(:mod:`repro.admission.batch`) and the fault-tolerant sweep
+(:mod:`repro.eval.parallel`) — and both share what lives here:
 
-* :func:`partition_components` — deterministic component list (flow
-  incidence = weak connectivity of the server graph);
 * :func:`subnetwork` — the induced sub-:class:`~repro.network.topology.
-  Network` of one component, preserving insertion order so per-server
-  float summation order (and hence every IEEE-754 result bit) matches
-  the full-network analysis;
-* :class:`ParallelAnalysis` — an :class:`~repro.analysis.base.Analyzer`
-  wrapper that farms components out to a process pool and merges the
-  per-component reports through a deterministic, order-independent
-  reducer.
+  Network` of a set of whole components, preserving insertion order so
+  per-server float summation order (and hence every IEEE-754 result
+  bit) matches the full-network analysis;
+* :func:`store_interceptors` — worker-side ``step``/``block``
+  interceptors serving per-unit results from a read-only
+  :class:`~repro.store.AnalysisStore` and collecting fresh ones;
+* :func:`write_seeds` — the parent's single serialized write of those
+  fresh results (single-writer discipline, see ``docs/STORE.md``);
+* :func:`open_worker_store` and :func:`merge_worker_metrics`.
 
-**Determinism contract**: parallel reports are bit-identical
-(``float.hex``) to the wrapped serial analyzer's — same algorithm name,
-same bounds, same contribution breakdowns, same metadata — enforced by
-``tests/engine/test_parallel_analysis.py``.  This holds because
-each worker runs the *same pure function chain*
-(:func:`repro.analysis.propagation.server_step`) on the *same inputs*
-(name-sorted flow order at each server is preserved by the induced
-subnetwork), under the *same explicitly-pinned curve kernel*.
-
-Only :class:`~repro.analysis.decomposed.DecomposedAnalysis` is
-parallelized.  Algorithm Integrated's default partition strategy
-(:class:`~repro.core.partition.PairAlongPath` with no pinned flow)
-selects the globally longest flow, so adding a flow in one component
-can change the block partition — and therefore the bounds — in *other*
-components; its analysis is not component-local and falls back to the
-serial path (see ``docs/PARALLEL.md``).
+See ``docs/PARALLEL.md`` for which pool exists for what.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Hashable, Iterable, Sequence
 
-import networkx as nx
-
-from repro.analysis.base import Analyzer, DelayReport
-from repro.analysis.decomposed import DecomposedAnalysis
 from repro.analysis.propagation import server_step
-from repro.context import NULL_CONTEXT, AnalysisContext, Deadline
-from repro.curves.kernels import current_kernel
-from repro.errors import AnalysisError, EngineError
+from repro.context import AnalysisContext, MetricsRegistry
+from repro.core.integrated import evaluate_block
+from repro.engine.incremental import _block_key, _server_key
+from repro.errors import EngineError, StoreError
 from repro.network.topology import Network
 
 __all__ = [
-    "partition_components",
     "subnetwork",
-    "merge_reports",
-    "ParallelAnalysis",
+    "open_worker_store",
+    "store_interceptors",
+    "write_seeds",
+    "merge_worker_metrics",
 ]
 
 ServerId = Hashable
 
-#: One engine-cache seed record: (content key, ServerStep, compute s).
+#: One engine-cache seed record: (content key, result, compute s).
 SeedRecord = tuple[bytes, object, float]
-
-
-# ----------------------------------------------------------------------
-# component partitioning
-# ----------------------------------------------------------------------
-
-def partition_components(network: Network,
-                         ) -> list[tuple[ServerId, ...]]:
-    """Weakly-connected server components that carry at least one flow.
-
-    Servers within a component keep the network's insertion order, and
-    components are ordered by their first server's insertion position —
-    both deterministic, so the same network always partitions the same
-    way.  Flow-less servers are excluded (both analyses skip them).
-    """
-    graph = network.server_graph
-    comp_of: dict[ServerId, int] = {}
-    for k, comp in enumerate(nx.weakly_connected_components(graph)):
-        for sid in comp:
-            comp_of[sid] = k
-    live = {comp_of[f.path[0]] for f in network.flows.values()}
-    ordered: dict[int, list[ServerId]] = {}
-    for sid in network.servers:
-        k = comp_of[sid]
-        if k in live:
-            ordered.setdefault(k, []).append(sid)
-    return [tuple(sids) for sids in ordered.values()]
 
 
 def subnetwork(network: Network,
@@ -127,7 +83,6 @@ def open_worker_store(store_path: str | None):
     """
     if store_path is None:
         return None
-    from repro.errors import StoreError
     from repro.store import AnalysisStore
     try:
         return AnalysisStore(store_path, read_only=True)
@@ -135,206 +90,62 @@ def open_worker_store(store_path: str | None):
         return None
 
 
-def _analyze_component(payload: tuple) -> dict:
-    """Pool worker: analyze one component's subnetwork.
+def store_interceptors(store, records: dict,
+                       metrics: MetricsRegistry | None = None):
+    """``(step, block)`` interceptors backed by a persistent store.
 
-    Runs the same pure per-server function chain as the serial path,
-    under the explicitly-pinned kernel, with a fresh worker-local
-    metrics registry (merged into the parent's on return) and an
-    optional deadline carved from the parent's remaining budget.
-    When the parent has a persistent analysis store, the worker opens
-    it **read-only**, serves per-server steps from it, and ships every
-    freshly computed step back as a seed record for the parent's
-    single serialized write.
-
-    Analysis errors come back as structured markers — exception
-    *objects* with keyword-only constructors don't survive the pickle
-    round-trip a raising worker would force.
+    Each per-server step or per-block evaluation is looked up in
+    *store* (when not None) under the incremental engine's content
+    keys, so a hit is bit-identical by construction.  A miss computes
+    the value and lands ``(key, value, compute seconds)`` in *records*,
+    keyed by content key, for the parent's :func:`write_seeds`.  With
+    *metrics*, store probes count as ``store.hits`` / ``store.misses``.
     """
-    net, capped, kernel, budget, want_records, store_path = payload
-    from repro.context.metrics import MetricsRegistry
-    metrics = MetricsRegistry()
-    ctx = AnalysisContext(metrics=metrics, kernel=kernel)
-    if budget is not None:
-        ctx = ctx.with_deadline(
-            Deadline(budget, "parallel component analysis"))
-    records: list[SeedRecord] = []
-    store = open_worker_store(store_path)
-    if want_records or store is not None:
-        from repro.engine.incremental import _server_key
-
-        def step(sid, si):
-            key = _server_key(si)
-            if store is not None:
-                entry = store.get(key)
-                if entry is not None:
-                    ctx.count("store.hits")
-                    return entry.value
-                ctx.count("store.misses")
-            t0 = time.perf_counter()
-            value = server_step(si)
-            records.append((key, value, time.perf_counter() - t0))
-            return value
-
-        ctx = ctx.with_interceptors(step=step)
-    try:
-        report = DecomposedAnalysis(capped).analyze(net, ctx=ctx)
-    except AnalysisError as exc:
-        return {"ok": False,
-                "error": f"{type(exc).__name__}: {exc}",
-                "metrics": metrics.as_dict()}
-    finally:
+    def lookup(key_fn, compute, payload):
+        key = key_fn(payload)
         if store is not None:
-            store.close()
-    return {"ok": True, "report": report,
-            "metrics": metrics.as_dict(), "records": records}
+            entry = store.get(key)
+            if entry is not None:
+                if metrics is not None:
+                    metrics.inc("store.hits")
+                return entry.value
+            if metrics is not None:
+                metrics.inc("store.misses")
+        t0 = time.perf_counter()
+        value = compute(payload)
+        records[key] = (key, value, time.perf_counter() - t0)
+        return value
+
+    def step(sid, si):
+        return lookup(_server_key, server_step, si)
+
+    def block(blk, bi):
+        return lookup(_block_key, evaluate_block, bi)
+
+    return step, block
 
 
 # ----------------------------------------------------------------------
-# deterministic merge
+# parent side
 # ----------------------------------------------------------------------
 
-def merge_reports(network: Network, algorithm: str,
-                  reports: Sequence[DelayReport]) -> DelayReport:
-    """Fold per-component reports into one full-network report.
+def write_seeds(records: Sequence[SeedRecord], ctx: AnalysisContext, *,
+                store=None, engine=None) -> None:
+    """The single serialized write of worker-computed seed records.
 
-    Order-independent by construction: flow bounds are keyed by name
-    and re-emitted in the full network's insertion order; dict-valued
-    metadata (``local_delay``, ``busy_period``) is unioned (component
-    key sets are disjoint); scalar metadata must agree across
-    components.  The result satisfies
-    :func:`repro.engine.reports_identical` against the serial report.
+    With an *engine*, :meth:`~repro.engine.IncrementalEngine.seed_cache`
+    takes them (and persists them to the engine's store when writable).
+    Otherwise they go to *store*; a read-only store is skipped, and disk
+    trouble is counted as ``store.write_errors``, never raised —
+    persistence is an optimization, correctness never depends on it.
     """
-    by_flow: dict[str, object] = {}
-    for rep in reports:
-        by_flow.update(rep.delays)
-    delays = {}
-    for name in network.flows:
+    if not records:
+        return
+    if engine is not None:
+        engine.seed_cache(records)
+    elif store is not None and not store.read_only:
         try:
-            delays[name] = by_flow[name]
-        except KeyError:
-            raise EngineError(
-                f"merge: no component report covers flow {name!r}"
-            ) from None
-    meta: dict = {}
-    for rep in reports:
-        for key, value in rep.meta.items():
-            if isinstance(value, dict):
-                meta.setdefault(key, {}).update(value)
-            elif key in meta and meta[key] != value:
-                raise EngineError(
-                    f"merge: components disagree on meta {key!r}: "
-                    f"{meta[key]!r} != {value!r}")
-            else:
-                meta[key] = value
-    return DelayReport(algorithm=algorithm, delays=delays, meta=meta)
-
-
-# ----------------------------------------------------------------------
-# the analyzer wrapper
-# ----------------------------------------------------------------------
-
-class ParallelAnalysis(Analyzer):
-    """Run a delay analysis with components fanned out to a pool.
-
-    Parameters
-    ----------
-    analyzer:
-        The wrapped analysis.  :class:`~repro.analysis.decomposed.
-        DecomposedAnalysis` parallelizes; anything else (and any
-        network the fast path cannot handle) runs serially through
-        *analyzer* unchanged — this wrapper is always a safe drop-in.
-    workers:
-        Pool size.  ``workers <= 1`` disables the pool entirely.
-    store:
-        Optional persistent :class:`~repro.store.AnalysisStore`.
-        Workers open it read-only and serve already-known per-server
-        steps from it; fresh steps ship back and, when the parent's
-        handle is writable, land in one serialized write here.
-
-    The report's ``algorithm`` is the wrapped analyzer's name: callers
-    (and the differential harness) cannot tell which path produced it.
-    """
-
-    def __init__(self, analyzer: Analyzer, workers: int = 2, *,
-                 store=None) -> None:
-        if isinstance(analyzer, ParallelAnalysis):
-            raise EngineError("cannot nest ParallelAnalysis")
-        self._analyzer = analyzer
-        self._workers = int(workers)
-        self._store = store
-        self.name = analyzer.name
-        self.serial_fallbacks = 0
-        self.parallel_runs = 0
-
-    @property
-    def analyzer(self) -> Analyzer:
-        """The wrapped (serial) analyzer."""
-        return self._analyzer
-
-    @property
-    def workers(self) -> int:
-        return self._workers
-
-    @property
-    def store(self):
-        """The attached persistent store, when any."""
-        return self._store
-
-    def _fast_path_ok(self, network: Network,
-                      ctx: AnalysisContext) -> bool:
-        return (self._workers > 1
-                and isinstance(self._analyzer, DecomposedAnalysis)
-                and network.is_feedforward
-                and ctx.step_interceptor is None
-                and ctx.block_interceptor is None)
-
-    def analyze(self, network: Network, *,
-                ctx: AnalysisContext = NULL_CONTEXT) -> DelayReport:
-        if not self._fast_path_ok(network, ctx):
-            self.serial_fallbacks += 1
-            ctx.count("parallel.serial_fallbacks")
-            return self._analyzer.run(network, ctx)
-        components = partition_components(network)
-        if len(components) < 2:
-            self.serial_fallbacks += 1
-            ctx.count("parallel.serial_fallbacks")
-            return self._analyzer.run(network, ctx)
-        self.parallel_runs += 1
-        ctx.count("parallel.runs")
-        ctx.count("parallel.components", len(components))
-        kernel = ctx.kernel if ctx.kernel is not None else current_kernel()
-        budget = (ctx.deadline.remaining()
-                  if ctx.deadline is not None else None)
-        capped = self._analyzer.capped_propagation
-        store_path = (str(self._store.path)
-                      if self._store is not None else None)
-        payloads = [(subnetwork(network, comp), capped, kernel, budget,
-                     False, store_path) for comp in components]
-        reports: list[DelayReport] = []
-        fresh: list[SeedRecord] = []
-        with ProcessPoolExecutor(max_workers=self._workers) as pool:
-            for result in pool.map(_analyze_component, payloads):
-                merge_worker_metrics(ctx, result.get("metrics"))
-                if not result["ok"]:
-                    raise AnalysisError(
-                        f"parallel component analysis failed: "
-                        f"{result['error']}")
-                reports.append(result["report"])
-                fresh.extend(result.get("records") or ())
-        self._persist_records(fresh, ctx)
-        ctx.checkpoint("parallel merge")
-        return merge_reports(network, self._analyzer.name, reports)
-
-    def _persist_records(self, records: Sequence[SeedRecord],
-                         ctx: AnalysisContext) -> None:
-        """The single serialized write of worker-computed entries."""
-        if (self._store is None or self._store.read_only
-                or not records):
-            return
-        from repro.errors import StoreError
-        try:
-            ctx.count("store.writes", self._store.seed(records))
+            ctx.count("store.writes", store.seed(records))
         except (StoreError, OSError):
             ctx.count("store.write_errors")
 

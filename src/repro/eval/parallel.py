@@ -43,6 +43,11 @@ from typing import Callable, Mapping, Sequence
 
 from repro.context import NULL_CONTEXT, AnalysisContext, MetricsRegistry
 from repro.curves.kernels import current_kernel
+from repro.engine.parallel import (
+    open_worker_store,
+    store_interceptors,
+    write_seeds,
+)
 from repro.eval.figures import _analyzer_factory  # shared registry
 from repro.network.tandem import CONNECTION0, build_tandem
 from repro.utils.durable import atomic_write_text
@@ -115,42 +120,9 @@ _WORKER_STORES: dict = {}
 def _worker_store(path: str):
     store = _WORKER_STORES.get(path)
     if path not in _WORKER_STORES or (store is not None and store.closed):
-        from repro.engine.parallel import open_worker_store
         store = open_worker_store(path)
         _WORKER_STORES[path] = store
     return store
-
-
-def _store_hooks(store, records: list):
-    """Sweep-unit interceptors backed by the persistent store.
-
-    Serves per-server steps and per-block evaluations from *store*
-    (same content keys as the incremental engine, so hits are
-    bit-identical by construction) and collects every fresh
-    computation into *records* for the driver's serialized write.
-    """
-    from repro.analysis.propagation import server_step
-    from repro.core.integrated import evaluate_block
-    from repro.engine.incremental import _block_key, _server_key
-
-    def lookup(key_fn, compute, payload):
-        key = key_fn(payload)
-        if store is not None:
-            entry = store.get(key)
-            if entry is not None:
-                return entry.value
-        t0 = time.perf_counter()
-        value = compute(payload)
-        records.append((key, value, time.perf_counter() - t0))
-        return value
-
-    def step(sid, si):
-        return lookup(_server_key, server_step, si)
-
-    def block(blk, bi):
-        return lookup(_block_key, evaluate_block, bi)
-
-    return step, block
 
 
 def _evaluate_one(args: _Task, profile: bool = False,
@@ -173,11 +145,12 @@ def _evaluate_one(args: _Task, profile: bool = False,
         return SweepPoint(analyzer_name, n_hops, load, sigma, delay,
                           elapsed_s=time.perf_counter() - start,
                           kernel=kernel)
-    records: list = []
+    records: dict = {}
     ctx = (AnalysisContext(metrics=MetricsRegistry()) if profile
            else NULL_CONTEXT)
     if store_path is not None:
-        step, block = _store_hooks(_worker_store(store_path), records)
+        step, block = store_interceptors(_worker_store(store_path),
+                                         records)
         ctx = ctx.with_interceptors(step=step, block=block)
     if profile:
         with ctx.metrics.timed("point"):
@@ -193,7 +166,7 @@ def _evaluate_one(args: _Task, profile: bool = False,
                            elapsed_s=time.perf_counter() - start,
                            kernel=kernel)
     if store_path is not None:
-        return point, records
+        return point, list(records.values())
     return point
 
 
@@ -580,13 +553,7 @@ def evaluate_grid(analyzers: Sequence[str], hops: Sequence[int],
         store_path = str(store.path)
 
         def collect(seeds: list) -> None:
-            if store.read_only:
-                return
-            from repro.errors import StoreError
-            try:
-                ctx.count("store.writes", store.seed(seeds))
-            except (StoreError, OSError):
-                ctx.count("store.write_errors")
+            write_seeds(seeds, ctx, store=store)
 
     pending = [(t, 1) for t in tasks if t not in results]
     serial = not parallel or len(pending) <= 1

@@ -20,6 +20,11 @@ from repro.network.generators import parking_lot, random_feedforward
 from repro.network.tandem import build_tandem
 from repro.network.topology import Network
 from repro.sim.adversary import simulate_adversarial
+from repro.validate.oracles import (
+    _longest_flow,
+    packetizable,
+    packetization_slack,
+)
 
 __all__ = ["TightnessRow", "tightness_study", "render_tightness"]
 
@@ -57,10 +62,6 @@ def _ratio(observed: float, bound: float) -> float:
     return observed / bound
 
 
-def _longest_flow(net: Network) -> str:
-    return max(net.flows.values(), key=lambda f: f.n_hops).name
-
-
 def default_topologies() -> Mapping[str, Callable[[], Network]]:
     """The study's default topology suite."""
     return {
@@ -79,19 +80,22 @@ def tightness_study(topologies: Mapping[str, Callable[[], Network]]
     """Run the tightness study; observed delays must stay below bounds.
 
     Raises AssertionError on a soundness violation — this function
-    doubles as a self-check.
+    doubles as a self-check.  As in the soundness oracle, bursts below
+    one packet are simulated and bounded as one packet
+    (:func:`~repro.validate.oracles.packetizable`), and observed delays
+    may exceed the fluid bound by the per-hop packetization slack.
     """
     topologies = topologies or default_topologies()
     rows = []
     for name, factory in topologies.items():
-        net = factory()
+        net = packetizable(factory(), packet_size)
         target = _longest_flow(net)
         d_int = IntegratedAnalysis().analyze(net).delay_of(target)
         d_dec = DecomposedAnalysis().analyze(net).delay_of(target)
         sim = simulate_adversarial(net, target, horizon=horizon,
                                    packet_size=packet_size)
         obs = sim.max_delay(target)
-        slack = packet_size * net.flow(target).n_hops
+        slack = packetization_slack(net, net.flow(target), packet_size)
         assert obs <= d_int + slack + 1e-9, \
             f"soundness violation on {name}: {obs} > {d_int}"
         rows.append(TightnessRow(topology=name, flow=target,

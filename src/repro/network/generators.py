@@ -130,9 +130,9 @@ def random_multicomponent(seed: int, n_components: int = 4,
     with flows named ``c{c}_f{i}``; no flow crosses a component
     boundary, so the network's server graph has exactly
     ``n_components`` weakly connected components carrying flows.  This
-    is the natural stress shape for
-    :class:`repro.engine.ParallelAnalysis` and parallel batch
-    admission: the dependency cones are the components.
+    is the natural stress shape for parallel batch admission
+    (:meth:`repro.admission.controller.AdmissionController.admit_batch`):
+    the dependency cones are the components.
 
     Integer server ids keep the topology journal-serializable
     (:func:`repro.network.serialization.network_to_dict` accepts

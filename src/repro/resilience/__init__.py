@@ -4,8 +4,8 @@ Answers the operational question the paper's admission story leads to:
 *which deadline guarantees survive a fault?*  Fault scenarios are pure
 ``Network -> Network`` transformations; the survivability analysis
 re-runs any analyzer over the faulted counterparts (rerouting severed
-flows where the topology allows) and the budget helper turns wall-clock
-time into a first-class analysis resource.
+flows where the topology allows); the circuit breaker stops retrying an
+analyzer that keeps timing out.
 """
 
 from repro.resilience.breaker import (
@@ -14,7 +14,6 @@ from repro.resilience.breaker import (
     OPEN,
     CircuitBreaker,
 )
-from repro.resilience.budget import call_with_budget
 from repro.resilience.faults import (
     BurstInflation,
     CompositeScenario,
@@ -43,7 +42,6 @@ __all__ = [
     "ServerFailure",
     "BurstInflation",
     "CompositeScenario",
-    "call_with_budget",
     "MET",
     "VIOLATED",
     "SEVERED",

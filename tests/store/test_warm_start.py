@@ -8,16 +8,13 @@ produced — down to ``float.hex`` — or it does not count as a hit.
 
 import pytest
 
+from repro.admission.controller import AdmissionController
 from repro.admission.requests import ConnectionRequest
 from repro.analysis.decomposed import DecomposedAnalysis
 from repro.context import AnalysisContext, MetricsRegistry
 from repro.core.integrated import IntegratedAnalysis
 from repro.curves.token_bucket import TokenBucket
-from repro.engine import (
-    IncrementalEngine,
-    ParallelAnalysis,
-    reports_identical,
-)
+from repro.engine import IncrementalEngine, reports_identical
 from repro.network.flow import Flow
 from repro.network.generators import random_feedforward
 from repro.network.tandem import CONNECTION0, build_tandem
@@ -141,7 +138,12 @@ class TestKernelTagging:
                 == cold_exact.delay_of(CONNECTION0).hex())
 
 
-class TestParallelAnalysisStore:
+def decision_key(d):
+    return (d.admitted, d.reason,
+            None if d.new_flow_bound is None else d.new_flow_bound.hex())
+
+
+class TestBatchPoolStore:
     def disjoint_net(self, tandems=3, hops=3):
         servers = [ServerSpec(t * hops + k) for t in range(tandems)
                    for k in range(1, hops + 1)]
@@ -151,25 +153,36 @@ class TestParallelAnalysisStore:
                  for t in range(tandems)]
         return Network(servers, flows)
 
+    def requests(self, tandems=3, hops=3):
+        return [ConnectionRequest(f"r{t}_{k}", TokenBucket(0.5, 0.05),
+                                  tuple(range(t * hops + 1,
+                                              t * hops + hops + 1)),
+                                  60.0)
+                for k in range(2) for t in range(tandems)]
+
     def test_pool_workers_populate_the_store(self, tmp_path):
-        net = self.disjoint_net()
-        cold = DecomposedAnalysis().analyze(net)
+        net, reqs = self.disjoint_net(), self.requests()
+        serial_ctrl = AdmissionController(net, DecomposedAnalysis())
+        serial = [decision_key(serial_ctrl.admit(r)) for r in reqs]
+
         ctx = AnalysisContext(metrics=MetricsRegistry())
         with AnalysisStore(tmp_path / "s") as store:
-            pa = ParallelAnalysis(DecomposedAnalysis(), workers=2,
-                                  store=store)
-            first = pa.analyze(net, ctx=ctx)
+            ctrl = AdmissionController(net, DecomposedAnalysis(),
+                                       store=store)
+            cold = ctrl.admit_batch(reqs, workers=2, ctx=ctx)
+            assert ctx.metrics.get("parallel.batch_groups") >= 2
             assert ctx.metrics.get("store.writes") > 0
-        assert reports_identical(first, cold)
+        assert [decision_key(d) for d in cold] == serial
 
         ctx2 = AnalysisContext(metrics=MetricsRegistry())
         with AnalysisStore(tmp_path / "s") as store:
-            pa = ParallelAnalysis(DecomposedAnalysis(), workers=2,
-                                  store=store)
-            warm = pa.analyze(net, ctx=ctx2)
+            ctrl = AdmissionController(net, DecomposedAnalysis(),
+                                       store=store)
+            warm = ctrl.admit_batch(reqs, workers=2, ctx=ctx2)
+            assert ctx2.metrics.get("parallel.batch_groups") >= 2
             assert ctx2.metrics.get("store.hits") > 0
             assert ctx2.metrics.get("store.writes") == 0
-        assert bounds_hex(warm, net) == bounds_hex(cold, net)
+        assert [decision_key(d) for d in warm] == serial
 
 
 class TestServiceWarmBoot:
