@@ -16,7 +16,9 @@ content-addressed and replay cached steps with bit-identical results:
 :func:`propagate` routes every step through
 :meth:`repro.context.AnalysisContext.run_server_step`, whose optional
 step interceptor is exactly that memoizing wrapper (and which also
-carries the cooperative deadline and per-step tracing).
+carries the cooperative deadline and per-step tracing).  The step's
+input is handed over as a thunk, so a replayed step costs no
+:class:`ServerInput` construction.
 """
 
 from __future__ import annotations
@@ -238,11 +240,13 @@ def propagate(network: Network, capped: bool = False,
     ctx:
         Execution context.  Each step runs through
         :meth:`~repro.context.AnalysisContext.run_server_step` with
-        :func:`server_step` as the pure compute, so the context's
-        cooperative deadline is checked at every server boundary, each
-        step gets a span, and an installed step interceptor (the
-        incremental engine's memoizer) transparently replaces the
-        computation.
+        :func:`server_step` as the pure compute and
+        :func:`build_server_input` as the on-demand input, so the
+        context's cooperative deadline is checked at every server
+        boundary, each step gets a span, and an installed step
+        interceptor (the incremental engine's memoizer) transparently
+        replaces the computation — building no input at all for a
+        server whose previous result it replays.
     """
     network.check_stability()
 
@@ -254,8 +258,9 @@ def propagate(network: Network, capped: bool = False,
     for sid in network.topological_servers():
         if not network.flows_at(sid):
             continue
-        si = build_server_input(network, sid, curve_at, capped)
-        res = ctx.run_server_step(sid, si, server_step)
+        res = ctx.run_server_step(
+            sid, lambda: build_server_input(network, sid, curve_at, capped),
+            server_step)
         local[sid] = res.local
         for name, out in res.out_curves:
             nxt = network.flow(name).next_hop(sid)

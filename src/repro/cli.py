@@ -1000,8 +1000,7 @@ def _cmd_recover(args) -> int:
         return 0
     store = _open_store(args.store)
     try:
-        report = verify_recovery(args.journal, kernel=args.kernel,
-                                 store=store)
+        report = verify_recovery(state, kernel=args.kernel, store=store)
     except RecoveryError as exc:
         raise SystemExit(f"recover: {exc}") from None
     finally:

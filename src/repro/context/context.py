@@ -41,11 +41,14 @@ __all__ = ["AnalysisContext", "NullContext", "NULL_CONTEXT"]
 _NULL_CM = nullcontext()
 
 #: Interceptor signatures (mirror the engine's memoizing wrappers):
-#: ``step(sid, server_input) -> ServerStep`` and
-#: ``block(block_ids, block_input) -> BlockOutcome``.  An interceptor
-#: MUST be extensionally equal to the pure function it replaces.
-StepInterceptor = Callable[[object, object], object]
-BlockInterceptor = Callable[[tuple, object], object]
+#: ``step(sid, build) -> ServerStep`` and
+#: ``block(kind, block_ids, build) -> BlockOutcome``, where ``build()``
+#: returns the unit's ``ServerInput`` / ``BlockInput``.  The input is
+#: built on demand: an interceptor that replays a remembered result
+#: never calls ``build``.  An interceptor MUST be extensionally equal
+#: to the pure function applied to ``build()``.
+StepInterceptor = Callable[[object, Callable[[], object]], object]
+BlockInterceptor = Callable[[str, tuple, Callable[[], object]], object]
 
 
 class AnalysisContext:
@@ -190,46 +193,55 @@ class AnalysisContext:
     # per-unit execution (the former step=/block_step= hooks)
     # ------------------------------------------------------------------
 
-    def run_server_step(self, sid, si, compute):
+    def run_server_step(self, sid, build, compute):
         """Run one per-server propagation step under this context.
 
-        *compute* is the pure fallback
-        (:func:`repro.analysis.propagation.server_step`); the engine's
-        memoizing :attr:`step_interceptor`, when installed, replaces it
-        and must be extensionally equal.
+        *build* returns the step's
+        :class:`~repro.analysis.propagation.ServerInput` and *compute*
+        is the pure function of it
+        (:func:`repro.analysis.propagation.server_step`).  Without an
+        interceptor the result is ``compute(build())``; the engine's
+        memoizing :attr:`step_interceptor`, when installed, replaces
+        both, calls *build* only when it has no result to replay, and
+        must be extensionally equal.
         """
         dl = self.deadline
         if dl is not None:
             dl.check("propagation")
         fn = self.step_interceptor
         if self.tracer is None:
-            out = compute(si) if fn is None else fn(sid, si)
+            out = compute(build()) if fn is None else fn(sid, build)
         else:
-            with self.tracer.span("server_step", server=str(sid),
-                                  n_flows=len(si.flows)):
-                out = compute(si) if fn is None else fn(sid, si)
+            with self.tracer.span("server_step", server=str(sid)) as sp:
+                out = compute(build()) if fn is None else fn(sid, build)
+                if sp is not None:
+                    sp.attrs["n_flows"] = len(out.local.delay_by_flow)
         if self.metrics is not None:
             self.metrics.inc("analysis.server_steps")
         return out
 
-    def run_block_step(self, block: tuple, bi, compute):
+    def run_block_step(self, kind: str, block: tuple, build, compute):
         """Run one per-block joint evaluation under this context.
 
-        *compute* is the pure fallback
-        (:func:`repro.core.integrated.evaluate_block`); the engine's
-        :attr:`block_interceptor` replaces it when installed.
+        *build* returns the block's
+        :class:`~repro.core.integrated.BlockInput` and *compute* is the
+        pure function of it (:func:`repro.core.integrated.
+        evaluate_block`); the engine's :attr:`block_interceptor`
+        replaces both when installed, as in :meth:`run_server_step`.
         """
         dl = self.deadline
         if dl is not None:
             dl.check("block evaluation")
         fn = self.block_interceptor
         if self.tracer is None:
-            out = compute(bi) if fn is None else fn(block, bi)
+            out = compute(build()) if fn is None else fn(kind, block, build)
         else:
-            with self.tracer.span("block", kind=bi.kind,
-                                  servers=str(tuple(block)),
-                                  n_flows=len(bi.flows)):
-                out = compute(bi) if fn is None else fn(block, bi)
+            with self.tracer.span("block", kind=kind,
+                                  servers=str(tuple(block))) as sp:
+                out = (compute(build()) if fn is None
+                       else fn(kind, block, build))
+                if sp is not None:
+                    sp.attrs["n_flows"] = len(out.delays)
         if self.metrics is not None:
             self.metrics.inc("analysis.block_steps")
         return out
@@ -301,11 +313,11 @@ class NullContext(AnalysisContext):
     def analysis_scope(self, algorithm: str, **attrs):
         return _NULL_CM
 
-    def run_server_step(self, sid, si, compute):
-        return compute(si)
+    def run_server_step(self, sid, build, compute):
+        return compute(build())
 
-    def run_block_step(self, block: tuple, bi, compute):
-        return compute(bi)
+    def run_block_step(self, kind: str, block: tuple, build, compute):
+        return compute(build())
 
 
 #: Shared default instance — do not mutate.

@@ -25,7 +25,9 @@ what lets the incremental engine (:mod:`repro.engine`) memoize blocks
 content-addressed: every block runs through
 :meth:`repro.context.AnalysisContext.run_block_step`, whose optional
 block interceptor is exactly that memoizing wrapper (and which also
-carries the cooperative deadline and per-block tracing).
+carries the cooperative deadline and per-block tracing).  The block's
+input is handed over as a thunk, so a replayed block costs no
+:class:`BlockInput` construction.
 """
 
 from __future__ import annotations
@@ -338,9 +340,12 @@ class IntegratedAnalysis(Analyzer):
         for kind, block in self.effective_blocks(network, partition):
             if kind == "singleton" and not network.flows_at(block[0]):
                 continue
-            bi = self.build_block_input(network, kind, block, curve_at)
-            outcome = ctx.run_block_step(block, bi, evaluate_block)
-            self._apply_outcome(network, block, bi, outcome, curve_at,
+            outcome = ctx.run_block_step(
+                kind, block,
+                lambda: self.build_block_input(network, kind, block,
+                                               curve_at),
+                evaluate_block)
+            self._apply_outcome(network, kind, block, outcome, curve_at,
                                 contribs, kernel_wins)
 
         delays = {}
@@ -362,11 +367,30 @@ class IntegratedAnalysis(Analyzer):
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _apply_outcome(network: Network, block: tuple, bi: BlockInput,
+    def _roles(network: Network, kind: str, block: tuple) -> dict[str, str]:
+        """Each flow's role in one work unit, as
+        :meth:`build_block_input` assigns it (a flow entering both
+        servers of a pair without passing j → k ends as "cross2")."""
+        if kind == "singleton":
+            return {f.name: "local" for f in network.flows_at(block[0])}
+        j, k = block
+        roles = {f.name: "through" if f.next_hop(j) == k else "cross1"
+                 for f in network.flows_at(j)}
+        for f in network.flows_at(k):
+            if roles.get(f.name) != "through":
+                roles[f.name] = "cross2"
+        return roles
+
+    @classmethod
+    def _apply_outcome(cls, network: Network, kind: str, block: tuple,
                        outcome: BlockOutcome, curve_at, contribs,
                        kernel_wins) -> None:
-        """Fold one block's outcome into the sweep state."""
-        role_of = {fa.name: fa.role for fa in bi.flows}
+        """Fold one block's outcome into the sweep state.
+
+        Reads the flows' roles off *network*, not off the block's
+        input, which a replayed block never builds.
+        """
+        role_of = cls._roles(network, kind, block)
         for name, d in outcome.delays:
             role = role_of[name]
             if role == "through":

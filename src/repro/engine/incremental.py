@@ -11,7 +11,7 @@ handful of flows.  Three mechanisms cooperate:
    dirties exactly the affected cone.
 2. **Fast reuse**: per-server / per-block results from the previous
    sweep are replayed verbatim for every block outside the cone — no
-   hashing, no computation.
+   input construction, no hashing, no computation.
 3. **Content-addressed cache** (:mod:`repro.engine.cache`): blocks
    inside the cone are keyed by a stable digest of their *exact*
    inputs (specs, flow roles, IEEE-754 bits of every curve); a hit —
@@ -351,11 +351,12 @@ class IncrementalEngine(Analyzer):
     def _lookup(self, unit: tuple, in_cone: bool,
                 reusable: dict[tuple, _Record],
                 outcomes: dict[tuple, _Record], key_fn, compute_fn,
-                payload, ctx: AnalysisContext):
+                build, ctx: AnalysisContext):
         """Shared reuse → cache → compute ladder for one sweep unit.
 
         Runs *inside* the span the context opened for this unit, so the
-        cache verdict is annotated onto the unit's own span.
+        cache verdict is annotated onto the unit's own span.  *build*
+        makes the unit's input; a fast reuse never calls it.
         """
         if not in_cone:
             rec = reusable.get(unit)
@@ -366,6 +367,7 @@ class IncrementalEngine(Analyzer):
                 ctx.count("engine.fast_reuses")
                 ctx.annotate(cache="fast_reuse")
                 return rec[0]
+        payload = build()
         key = key_fn(payload)
         entry = self._cache.get(key)
         if entry is not None:
@@ -420,19 +422,19 @@ class IncrementalEngine(Analyzer):
 
     def _make_server_step(self, cone, reusable, outcomes,
                           ctx: AnalysisContext):
-        def step(sid, si: ServerInput):
+        def step(sid, build):
             in_cone = cone is None or sid in cone
             return self._lookup(("server", sid), in_cone, reusable,
-                                outcomes, _server_key, server_step, si,
+                                outcomes, _server_key, server_step, build,
                                 ctx)
         return step
 
     def _make_block_step(self, cone, reusable, outcomes,
                          ctx: AnalysisContext):
-        def block_step(block: tuple, bi: BlockInput):
+        def block_step(kind: str, block: tuple, build):
             in_cone = cone is None or any(s in cone for s in block)
-            return self._lookup((bi.kind, block), in_cone, reusable,
-                                outcomes, _block_key, evaluate_block, bi,
+            return self._lookup((kind, block), in_cone, reusable,
+                                outcomes, _block_key, evaluate_block, build,
                                 ctx)
         return block_step
 

@@ -96,12 +96,15 @@ def store_interceptors(store, records: dict,
 
     Each per-server step or per-block evaluation is looked up in
     *store* (when not None) under the incremental engine's content
-    keys, so a hit is bit-identical by construction.  A miss computes
-    the value and lands ``(key, value, compute seconds)`` in *records*,
-    keyed by content key, for the parent's :func:`write_seeds`.  With
-    *metrics*, store probes count as ``store.hits`` / ``store.misses``.
+    keys, so a hit is bit-identical by construction.  Workers have no
+    previous sweep to replay, so every unit's input is built.  A miss
+    computes the value and lands ``(key, value, compute seconds)`` in
+    *records*, keyed by content key, for the parent's
+    :func:`write_seeds`.  With *metrics*, store probes count as
+    ``store.hits`` / ``store.misses``.
     """
-    def lookup(key_fn, compute, payload):
+    def lookup(key_fn, compute, build):
+        payload = build()
         key = key_fn(payload)
         if store is not None:
             entry = store.get(key)
@@ -116,11 +119,11 @@ def store_interceptors(store, records: dict,
         records[key] = (key, value, time.perf_counter() - t0)
         return value
 
-    def step(sid, si):
-        return lookup(_server_key, server_step, si)
+    def step(sid, build):
+        return lookup(_server_key, server_step, build)
 
-    def block(blk, bi):
-        return lookup(_block_key, evaluate_block, bi)
+    def block(kind, blk, build):
+        return lookup(_block_key, evaluate_block, build)
 
     return step, block
 

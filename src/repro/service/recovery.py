@@ -9,7 +9,8 @@ Recovery is two separable steps:
    gone are counted as skips, not errors — both legitimately occur when
    a crash lands between a snapshot and the journal rotation, or when a
    double-release was journaled.
-2. :func:`verify_recovery` — differential re-verification.  Every
+2. :func:`verify_recovery` — differential re-verification of that
+   replay (or of a journal directory, replayed first).  Every
    replayed admission's bound is *re-analyzed* on the reconstructed
    candidate network with the analyzer that originally answered (cold
    equivalent for engine answers) and compared **bit-identically**
@@ -92,7 +93,12 @@ class RecoveredState:
     replayed: int      #: records applied
     skipped: int       #: idempotent skips (duplicate admit / release)
     corrupt_lines: int
+    #: the records replayed on top of :attr:`base_network`, in order
     records: tuple[dict, ...] = field(repr=False)
+    #: the network replay started from (snapshot's, else base record's)
+    base_network: Network = field(repr=False)
+    #: the parsed snapshot, None when the journal had none
+    snapshot: dict | None = field(default=None, repr=False)
 
 
 def recover_state(directory: str | Path) -> RecoveredState:
@@ -106,7 +112,7 @@ def recover_state(directory: str | Path) -> RecoveredState:
 
     if snapshot is not None:
         try:
-            network = network_from_dict(snapshot["network"])
+            base_network = network_from_dict(snapshot["network"])
             admitted = list(snapshot.get("admitted", []))
             analyzer_name = str(snapshot.get("analyzer", "integrated"))
             kernel = str(snapshot.get("kernel", ""))
@@ -120,7 +126,7 @@ def recover_state(directory: str | Path) -> RecoveredState:
                 "state cannot be reconstructed")
         base = records[0]
         try:
-            network = network_from_dict(base["network"])
+            base_network = network_from_dict(base["network"])
         except (KeyError, TypeError, ValueError) as exc:
             raise RecoveryError(f"malformed base record: {exc}") from exc
         analyzer_name = str(base.get("analyzer", "integrated"))
@@ -129,6 +135,7 @@ def recover_state(directory: str | Path) -> RecoveredState:
         snapshot_seq = 0
         records = records[1:]
 
+    network = base_network
     last_seq = snapshot_seq
     replayed = skipped = 0
     for rec in records:
@@ -175,7 +182,8 @@ def recover_state(directory: str | Path) -> RecoveredState:
         network=network, admitted=tuple(admitted),
         analyzer_name=analyzer_name, kernel=kernel, last_seq=last_seq,
         snapshot_seq=snapshot_seq, replayed=replayed, skipped=skipped,
-        corrupt_lines=corrupt, records=tuple(records))
+        corrupt_lines=corrupt, records=tuple(records),
+        base_network=base_network, snapshot=snapshot)
 
 
 # ----------------------------------------------------------------------
@@ -203,18 +211,22 @@ class RecoveryReport:
         return "\n".join(lines)
 
 
-def verify_recovery(directory: str | Path, *,
+def verify_recovery(source: str | Path | RecoveredState, *,
                     kernel: str | None = None,
                     store=None,
                     ctx: AnalysisContext = NULL_CONTEXT) -> RecoveryReport:
     """Re-analyze every journaled admission and demand bit-identity.
 
-    Replays the journal a second time, re-running the recorded
-    ``verify_analyzer`` on each reconstructed candidate network and
-    comparing ``float.hex`` representations.  Also re-checks the
-    snapshot's per-flow bounds when no newer records exist.  Analysis
-    failures during verification are reported as mismatches (history
-    claims a bound existed; we cannot reproduce it).
+    *source* is a journal directory, which is replayed with
+    :func:`recover_state` first, or the :class:`RecoveredState` such a
+    replay returned; given a state, the journal is not read again.
+    Walks the replayed records from the state's starting network,
+    re-running the recorded ``verify_analyzer`` on each reconstructed
+    candidate network and comparing ``float.hex`` representations.
+    Also re-checks the snapshot's per-flow bounds when no newer records
+    exist.  Analysis failures during verification are reported as
+    mismatches (history claims a bound existed; we cannot reproduce
+    it).
 
     *store* (a :class:`~repro.store.AnalysisStore`) accelerates the
     replay: each verification analyzer runs behind an incremental
@@ -232,11 +244,13 @@ def verify_recovery(directory: str | Path, *,
     every bound comparison; journals predating kernel recording verify
     under *kernel* (or the ambient selection) as before.
     """
-    snapshot, records, _ = load_journal(directory)
-    state = recover_state(directory)
+    if isinstance(source, RecoveredState):
+        state, where = source, "the journal"
+    else:
+        state, where = recover_state(source), f"journal {Path(source)}"
     if kernel is not None and state.kernel and kernel != state.kernel:
         raise RecoveryError(
-            f"journal {Path(directory)} was recorded under curve kernel "
+            f"{where} was recorded under curve kernel "
             f"{state.kernel!r}; verifying under {kernel!r} would compare "
             "bounds across kernels — rerun without --kernel or with "
             f"--kernel {state.kernel}")
@@ -265,12 +279,8 @@ def verify_recovery(directory: str | Path, *,
     checked = 0
 
     # -- step-by-step: each admit's bound on its candidate network -----
-    if snapshot is not None:
-        network = network_from_dict(snapshot["network"])
-    else:
-        network = network_from_dict(records[0]["network"])
-        records = records[1:]
-    for rec in records:
+    network = state.base_network
+    for rec in state.records:
         op = rec.get("op")
         seq = int(rec.get("seq", 0))
         if op == "admit":
@@ -305,6 +315,7 @@ def verify_recovery(directory: str | Path, *,
 
     # -- snapshot bounds, when the snapshot is the newest state --------
     final_bounds: dict[str, float] = {}
+    snapshot = state.snapshot
     if (snapshot is not None and snapshot.get("bounds_hex")
             and state.last_seq == state.snapshot_seq):
         verify_name = str(snapshot.get("analyzer", "integrated"))
@@ -343,10 +354,11 @@ def recover_service(directory: str | Path, *,
                     **service_kwargs):
     """Rebuild a live :class:`~repro.service.AdmissionService`.
 
-    Replays the journal, optionally runs :func:`verify_recovery`
-    (raising :class:`~repro.errors.RecoveryError` on any bound
-    mismatch), and returns a service whose journal *resumes* the
-    directory — sequence numbers continue, nothing is clobbered.
+    Replays the journal once, optionally hands the replayed state to
+    :func:`verify_recovery` (raising
+    :class:`~repro.errors.RecoveryError` on any bound mismatch), and
+    returns a service whose journal *resumes* the directory — sequence
+    numbers continue, nothing is clobbered.
 
     *analyzer* overrides the journaled primary analyzer; *kernel*
     asserts the curve kernel and must match the journaled one when the
@@ -368,7 +380,7 @@ def recover_service(directory: str | Path, *,
             "bounds from two kernels in one journal — rerun without "
             f"--kernel or with --kernel {state.kernel}")
     if verify:
-        report = verify_recovery(directory, kernel=kernel, store=store,
+        report = verify_recovery(state, kernel=kernel, store=store,
                                  ctx=ctx)
         if not report.ok:
             raise RecoveryError(

@@ -22,8 +22,65 @@ import numpy as np
 
 __all__ = ["stable_digest", "digest_update"]
 
-_FLOAT = struct.Struct("<d")
-_INT = struct.Struct("<q")
+# A type tag byte followed by a little-endian float64 / int64 (the
+# value itself, or a length header), packed in one call.
+_TAGGED_FLOAT = struct.Struct("<cd").pack
+_TAGGED_INT = struct.Struct("<cq").pack
+_F64 = np.dtype(np.float64)
+
+
+def _encode(obj, out: list) -> None:
+    """Append the canonical encoding of *obj* to *out* as byte chunks.
+
+    Dispatches on the exact type first: the engine's keys are built
+    from plain floats, native float64 arrays (whose buffers are
+    appended as they are), strings, bools and ints.  A subclass, or an
+    array of another dtype or layout, is converted to that exact base
+    value, which encodes to the same bytes.
+    """
+    t = type(obj)
+    if t is float:
+        out.append(_TAGGED_FLOAT(b"f", obj))
+    elif (t is np.ndarray and obj.dtype == _F64
+          and obj.flags.c_contiguous):
+        out.append(_TAGGED_INT(b"a", obj.nbytes))
+        out.append(obj)
+    elif t is str:
+        data = obj.encode("utf-8")
+        out.append(_TAGGED_INT(b"s", len(data)))
+        out.append(data)
+    elif t is bool:
+        out.append(b"b1" if obj else b"b0")
+    elif t is int:
+        try:
+            out.append(_TAGGED_INT(b"i", obj))
+        except struct.error:  # arbitrary precision: "i", then "I" + digits
+            out.append(b"iI")
+            out.append(str(obj).encode("ascii"))
+    elif t is tuple or t is list:
+        out.append(b"(")
+        for item in obj:
+            _encode(item, out)
+        out.append(b")")
+    elif obj is None:
+        out.append(b"N")
+    elif isinstance(obj, bytes):
+        out.append(_TAGGED_INT(b"y", len(obj)))
+        out.append(obj)
+    elif isinstance(obj, int):
+        _encode(int.__int__(obj), out)
+    elif isinstance(obj, float):
+        _encode(float.__float__(obj), out)
+    elif isinstance(obj, str):
+        _encode(str.__str__(obj), out)
+    elif isinstance(obj, np.ndarray):
+        _encode(np.ascontiguousarray(obj, dtype=np.float64), out)
+    elif isinstance(obj, (tuple, list)):
+        _encode(tuple(obj), out)
+    else:
+        raise TypeError(
+            f"stable_digest cannot hash {type(obj).__name__!r}; "
+            "convert to a supported primitive first")
 
 
 def digest_update(h, obj) -> None:
@@ -32,45 +89,12 @@ def digest_update(h, obj) -> None:
     Supported: ``None``, ``bool``, ``int``, ``float``, ``str``,
     ``bytes``, numpy arrays and (nested) tuples/lists.  Every value is
     prefixed with a type tag so e.g. ``1`` and ``1.0`` and ``"1"`` hash
-    differently and sequences cannot collide by concatenation.
+    differently and sequences cannot collide by concatenation.  The
+    whole encoding is fed to *h* in one ``update``.
     """
-    if obj is None:
-        h.update(b"N")
-    elif isinstance(obj, bool):
-        h.update(b"b1" if obj else b"b0")
-    elif isinstance(obj, int):
-        try:
-            h.update(b"i")
-            h.update(_INT.pack(obj))
-        except struct.error:  # arbitrary-precision fallback
-            h.update(b"I")
-            h.update(str(obj).encode("ascii"))
-    elif isinstance(obj, float):
-        h.update(b"f")
-        h.update(_FLOAT.pack(obj))
-    elif isinstance(obj, str):
-        data = obj.encode("utf-8")
-        h.update(b"s")
-        h.update(_INT.pack(len(data)))
-        h.update(data)
-    elif isinstance(obj, bytes):
-        h.update(b"y")
-        h.update(_INT.pack(len(obj)))
-        h.update(obj)
-    elif isinstance(obj, np.ndarray):
-        data = np.ascontiguousarray(obj, dtype=np.float64).tobytes()
-        h.update(b"a")
-        h.update(_INT.pack(len(data)))
-        h.update(data)
-    elif isinstance(obj, (tuple, list)):
-        h.update(b"(")
-        for item in obj:
-            digest_update(h, item)
-        h.update(b")")
-    else:
-        raise TypeError(
-            f"stable_digest cannot hash {type(obj).__name__!r}; "
-            "convert to a supported primitive first")
+    out: list = []
+    _encode(obj, out)
+    h.update(b"".join(out))
 
 
 def stable_digest(*parts: object) -> bytes:
@@ -80,15 +104,12 @@ def stable_digest(*parts: object) -> bytes:
     builtin ``hash``), collision-resistant (blake2b), and sensitive to
     every bit of every float fed in.
     """
-    h = hashlib.blake2b(digest_size=16)
-    for part in parts:
-        digest_update(h, part)
-    return h.digest()
+    return digest_many(parts)
 
 
 def digest_many(parts: Iterable[object]) -> bytes:
     """Like :func:`stable_digest` but over an iterable."""
-    h = hashlib.blake2b(digest_size=16)
+    out: list = []
     for part in parts:
-        digest_update(h, part)
-    return h.digest()
+        _encode(part, out)
+    return hashlib.blake2b(b"".join(out), digest_size=16).digest()

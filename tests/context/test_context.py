@@ -11,7 +11,6 @@ from repro.context import (
     Deadline,
     MetricsRegistry,
     NullContext,
-    Tracer,
     active_registry,
 )
 from repro.errors import AnalysisTimeoutError
@@ -19,8 +18,25 @@ from tests.context.test_deadline import FakeClock
 
 
 def _unit(flows=()):
-    """A stand-in for ServerInput/BlockInput (only .flows/.kind used)."""
-    return SimpleNamespace(flows=flows, kind="theorem1")
+    """A stand-in for a ServerInput/BlockInput."""
+    return SimpleNamespace(flows=flows)
+
+
+def _build(unit=None, built=None):
+    """An on-demand input thunk that records each call in *built*."""
+    unit = _unit() if unit is None else unit
+
+    def build():
+        if built is not None:
+            built.append(unit)
+        return unit
+    return build
+
+
+def _step_result(*names):
+    """A stand-in ServerStep (the traced span reads its flow count)."""
+    return SimpleNamespace(
+        local=SimpleNamespace(delay_by_flow=dict.fromkeys(names, 1.0)))
 
 
 class TestBuilders:
@@ -52,7 +68,7 @@ class TestBuilders:
     def test_with_interceptors_shares_deadline(self):
         dl = Deadline(10.0)
         base = AnalysisContext(deadline=dl)
-        step = lambda sid, si: "memo"  # noqa: E731
+        step = lambda sid, build: "memo"  # noqa: E731
         derived = base.with_interceptors(step=step)
         assert derived.step_interceptor is step
         assert derived.deadline is dl
@@ -87,46 +103,80 @@ class TestPrimitives:
         assert root.attrs["algorithm"] == "decomposed"
 
     def test_null_singleton_is_pure_passthrough(self):
-        si = _unit()
-        out = NULL_CONTEXT.run_server_step("s1", si, lambda x: ("pure", x))
+        si, built = _unit(), []
+        out = NULL_CONTEXT.run_server_step("s1", _build(si, built),
+                                           lambda x: ("pure", x))
         assert out == ("pure", si)
+        assert built == [si]
+        out = NULL_CONTEXT.run_block_step("fifo_pair", (1, 2),
+                                          _build(si, built),
+                                          lambda x: ("joint", x))
+        assert out == ("joint", si)
+        assert built == [si, si]
 
 
 class TestStepDispatch:
     def test_interceptor_replaces_compute(self):
-        calls = []
+        calls, built = [], []
         ctx = AnalysisContext(
-            step_interceptor=lambda sid, si: calls.append(sid) or "memo")
-        out = ctx.run_server_step("s1", _unit(), lambda si: "pure")
+            step_interceptor=lambda sid, build: calls.append(sid) or "memo")
+        out = ctx.run_server_step("s1", _build(built=built),
+                                  lambda si: "pure")
         assert out == "memo"
         assert calls == ["s1"]
+        assert built == []  # a replaying interceptor builds nothing
+
+    def test_interceptor_builds_on_demand(self):
+        si, built = _unit(), []
+        ctx = AnalysisContext(
+            step_interceptor=lambda sid, build: ("memo", build()),
+            block_interceptor=lambda kind, blk, build: (kind, blk, build()))
+        assert ctx.run_server_step("s1", _build(si, built),
+                                   lambda x: "pure") == ("memo", si)
+        assert ctx.run_block_step("sp_pair", (1, 2), _build(si, built),
+                                  lambda x: "joint") == ("sp_pair", (1, 2),
+                                                         si)
+        assert built == [si, si]
 
     def test_compute_used_without_interceptor(self):
         ctx = AnalysisContext(metrics=MetricsRegistry())
-        out = ctx.run_server_step("s1", _unit(), lambda si: "pure")
+        out = ctx.run_server_step("s1", _build(), lambda si: "pure")
         assert out == "pure"
         assert ctx.metrics.get("analysis.server_steps") == 1.0
 
+    def test_server_step_traced_with_flow_count(self):
+        ctx = AnalysisContext.tracing()
+        ctx.run_server_step("s1", _build(),
+                            lambda si: _step_result("f", "g"))
+        (sp,) = ctx.tracer.roots
+        assert sp.name == "server_step"
+        assert sp.attrs == {"server": "s1", "n_flows": 2}
+
     def test_block_step_traced_and_counted(self):
         ctx = AnalysisContext.tracing()
-        out = ctx.run_block_step((1, 2), _unit(flows=("f",)),
-                                 lambda bi: "joint")
-        assert out == "joint"
+        joint = SimpleNamespace(delays=(("f", 1.0),))
+        out = ctx.run_block_step("fifo_pair", (1, 2), _build(),
+                                 lambda bi: joint)
+        assert out is joint
         assert ctx.metrics.get("analysis.block_steps") == 1.0
         (sp,) = ctx.tracer.roots
         assert sp.name == "block"
-        assert sp.attrs["servers"] == str((1, 2))
+        assert sp.attrs == {"kind": "fifo_pair", "servers": str((1, 2)),
+                            "n_flows": 1}
 
     def test_deadline_checked_at_step_boundary(self):
         clock = FakeClock()
         dl = Deadline(1.0, "unit test", clock=clock)
         ctx = AnalysisContext(deadline=dl)
-        ctx.run_server_step("s1", _unit(), lambda si: None)
+        ctx.run_server_step("s1", _build(), lambda si: None)
         clock.advance(2.0)
+        built = []
         with pytest.raises(AnalysisTimeoutError):
-            ctx.run_server_step("s1", _unit(), lambda si: None)
+            ctx.run_server_step("s1", _build(built=built), lambda si: None)
         with pytest.raises(AnalysisTimeoutError):
-            ctx.run_block_step((1,), _unit(), lambda bi: None)
+            ctx.run_block_step("singleton", (1,), _build(built=built),
+                               lambda bi: None)
+        assert built == []  # the deadline fires before any input is built
 
 
 class TestExport:

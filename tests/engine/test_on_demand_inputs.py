@@ -1,0 +1,92 @@
+"""The engine builds no sweep-unit input for a unit it fast-reuses.
+
+Admitting into one component of a multi-component network leaves every
+other component outside the dirty cone.  Those servers (blocks) replay
+the previous sweep's result, so their ``ServerInput`` (``BlockInput``)
+must never be assembled; every other unit still builds exactly one.
+The report stays bit-identical to a cold analysis.
+"""
+
+import pytest
+
+from repro.analysis import propagation
+from repro.analysis.decomposed import DecomposedAnalysis
+from repro.context import AnalysisContext
+from repro.core.integrated import IntegratedAnalysis
+from repro.curves.token_bucket import TokenBucket
+from repro.engine import IncrementalEngine, reports_identical
+from repro.network.flow import Flow
+from repro.network.generators import random_multicomponent
+
+
+def _spans(roots):
+    for sp in roots:
+        yield sp
+        yield from _spans(sp.children)
+
+
+def _newcomer(net, component_servers):
+    """A light flow on an existing path inside one component."""
+    path = next(f.path for f in net.iter_flows()
+                if set(f.path) <= component_servers)
+    return Flow("newcomer", TokenBucket(0.1, 0.001), path)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_decomposed_fast_reuse_builds_no_server_input(seed, monkeypatch):
+    net = random_multicomponent(seed, 8, 4, 32)
+    engine = IncrementalEngine(DecomposedAnalysis(), net)
+    engine.query()
+
+    built: list = []
+    original = propagation.build_server_input
+
+    def counting(network, sid, curve_at, capped):
+        built.append(sid)
+        return original(network, sid, curve_at, capped)
+
+    monkeypatch.setattr(propagation, "build_server_input", counting)
+    ctx = AnalysisContext.tracing()
+    report = engine.admit(_newcomer(net, {0, 1, 2, 3}), ctx=ctx)
+
+    reused = {sp.attrs["server"] for sp in _spans(ctx.tracer.roots)
+              if sp.name == "server_step"
+              and sp.attrs.get("cache") == "fast_reuse"}
+    fast = ctx.metrics.get("engine.fast_reuses")
+    steps = ctx.metrics.get("analysis.server_steps")
+    assert fast == len(reused) >= 28  # the seven untouched components
+    assert not reused & {str(sid) for sid in built}
+    assert len(built) == steps - fast
+    assert set(built) <= {0, 1, 2, 3}
+    monkeypatch.undo()
+    assert reports_identical(report,
+                             DecomposedAnalysis().analyze(engine.network))
+
+
+def test_integrated_fast_reuse_builds_no_block_input(monkeypatch):
+    net = random_multicomponent(1, 3, 2, 3)
+    engine = IncrementalEngine(IntegratedAnalysis(), net)
+    engine.query()
+
+    built: list = []
+    original = IntegratedAnalysis.build_block_input
+
+    def counting(self, network, kind, block, curve_at):
+        built.append(block)
+        return original(self, network, kind, block, curve_at)
+
+    monkeypatch.setattr(IntegratedAnalysis, "build_block_input", counting)
+    ctx = AnalysisContext.tracing()
+    report = engine.admit(_newcomer(net, {0, 1}), ctx=ctx)
+
+    reused = {sp.attrs["servers"] for sp in _spans(ctx.tracer.roots)
+              if sp.name == "block"
+              and sp.attrs.get("cache") == "fast_reuse"}
+    fast = ctx.metrics.get("engine.fast_reuses")
+    assert fast == len(reused) >= 2
+    assert not reused & {str(block) for block in built}
+    assert len(built) == ctx.metrics.get("analysis.block_steps") - fast
+    assert all(set(block) <= {0, 1} for block in built)
+    monkeypatch.undo()
+    assert reports_identical(report,
+                             IntegratedAnalysis().analyze(engine.network))

@@ -9,7 +9,9 @@ single seed write.  The pools themselves are tested end to end in
 import pytest
 
 from repro.analysis.decomposed import DecomposedAnalysis
+from repro.analysis.propagation import build_server_input, server_step
 from repro.context import AnalysisContext, MetricsRegistry
+from repro.core.integrated import IntegratedAnalysis, evaluate_block
 from repro.curves.token_bucket import TokenBucket
 from repro.engine import IncrementalEngine, reports_identical, subnetwork
 from repro.engine.parallel import store_interceptors, write_seeds
@@ -72,6 +74,32 @@ class TestStoreInterceptors:
         assert metrics.get("store.misses") == 0
         assert again == {}
         assert reports_identical(warm, cold)
+
+
+    def test_interceptors_build_their_input_on_demand(self):
+        net = two_component_net()
+        records: dict = {}
+        step, block = store_interceptors(None, records)
+        curve_at = {(f.name, f.path[0]): f.bucket.constraint_curve()
+                    for f in net.iter_flows()}
+        built: list = []
+
+        def build_step():
+            built.append("step")
+            return build_server_input(net, 0, curve_at, False)
+
+        def build_block():
+            built.append("block")
+            return IntegratedAnalysis().build_block_input(
+                net, "singleton", (0,), curve_at)
+
+        out = step(0, build_step)
+        assert out == server_step(build_step())
+        outcome = block("singleton", (0,), build_block)
+        assert outcome == evaluate_block(build_block())
+        # workers keep no previous sweep: every call builds its input
+        assert built == ["step", "step", "block", "block"]
+        assert len(records) == 2
 
 
 class _RaisingStore:

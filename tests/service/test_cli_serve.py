@@ -37,6 +37,22 @@ class TestServeRecover:
         assert "conn_3" in out
         assert "all bit-identical" in out
 
+    def test_recover_parses_the_journal_once(self, tmp_path, capsys,
+                                             monkeypatch):
+        import repro.service.recovery as recovery
+
+        journal = str(tmp_path / "j")
+        assert main(["serve", "--journal", journal, "--count", "3",
+                     "--hops", "2", "--deadline", "60",
+                     "--rho", "0.02"]) == 0
+        loads: list = []
+        original = recovery.load_journal
+        monkeypatch.setattr(recovery, "load_journal",
+                            lambda d: loads.append(d) or original(d))
+        assert main(["recover", "--journal", journal]) == 0
+        assert "all bit-identical" in capsys.readouterr().out
+        assert len(loads) == 1
+
     def test_serve_resume_continues(self, tmp_path, capsys):
         journal = str(tmp_path / "j")
         assert main(["serve", "--journal", journal, "--count", "2",

@@ -195,7 +195,94 @@ class TestBitIdenticalVerification:
         assert verify_recovery(d).ok
 
 
+def count_journal_loads(monkeypatch) -> list:
+    """Count ``load_journal`` calls made through the recovery module."""
+    import repro.service.recovery as recovery
+
+    calls: list = []
+    original = recovery.load_journal
+
+    def counting(directory):
+        calls.append(directory)
+        return original(directory)
+
+    monkeypatch.setattr(recovery, "load_journal", counting)
+    return calls
+
+
+def snapshot_newest(d):
+    """A journal whose snapshot (with per-flow bounds) is the newest."""
+    svc = AdmissionService(empty_net(), IntegratedAnalysis(), journal_dir=d,
+                           incremental=False)
+    svc.admit(request("a"))
+    svc.admit(request("b"))
+    svc.close()
+
+
+class TestVerifyFromState:
+    """``verify_recovery`` given a replayed state checks what it checks
+    given the directory, without reading the journal again."""
+
+    @pytest.mark.parametrize("fixture", [
+        lambda d: crashed_service(d, n_admit=4, releases=("c2",)),
+        lambda d: crashed_service(d, n_admit=6, snapshot_every=4),
+        lambda d: crashed_service(d, n_admit=3,
+                                  analyzer=DecomposedAnalysis()),
+        snapshot_newest,
+    ], ids=["base-record", "rotated", "decomposed", "snapshot-newest"])
+    def test_state_and_directory_reports_equal(self, tmp_path, fixture):
+        d = tmp_path / "j"
+        fixture(d)
+        by_dir = verify_recovery(d)
+        by_state = verify_recovery(recover_state(d))
+        assert by_dir.ok and by_dir.checked > 0
+        assert by_state == by_dir
+
+    def test_state_reads_no_journal(self, tmp_path, monkeypatch):
+        d = tmp_path / "j"
+        crashed_service(d, n_admit=3)
+        state = recover_state(d)
+        calls = count_journal_loads(monkeypatch)
+        assert verify_recovery(state).ok
+        assert calls == []
+
+    def test_tampered_journal_bound_fails_from_state(self, tmp_path):
+        d = tmp_path / "j"
+        crashed_service(d, n_admit=2)
+        path = d / "journal.jsonl"
+        records = [json.loads(line)
+                   for line in path.read_text().splitlines()]
+        for rec in records:
+            if rec["op"] == "admit" and rec["request"]["name"] == "c1":
+                rec["bound_hex"] = float(rec["bound"] * 2.0).hex()
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        report = verify_recovery(recover_state(d))
+        assert not report.ok
+        assert len(report.mismatches) == 1 and "c1" in report.mismatches[0]
+
+    def test_tampered_snapshot_bound_fails_from_state(self, tmp_path):
+        d = tmp_path / "j"
+        snapshot_newest(d)
+        path = d / "snapshot.json"
+        snap = json.loads(path.read_text())
+        snap["bounds_hex"]["b"] = (12345.5).hex()
+        path.write_text(json.dumps(snap))
+        report = verify_recovery(recover_state(d))
+        assert not report.ok
+        assert len(report.mismatches) == 1
+        assert "snapshot flow 'b'" in report.mismatches[0]
+
+
 class TestRecoverService:
+    def test_journal_parsed_once(self, tmp_path, monkeypatch):
+        d = tmp_path / "j"
+        crashed_service(d, n_admit=3)
+        calls = count_journal_loads(monkeypatch)
+        svc = recover_service(d, incremental=False)
+        assert len(calls) == 1
+        assert svc.admitted == ("c0", "c1", "c2")
+        svc.close()
+
     def test_resumed_service_continues_sequence(self, tmp_path):
         d = tmp_path / "j"
         crashed_service(d, n_admit=3)
