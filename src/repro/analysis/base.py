@@ -10,10 +10,9 @@ any pair.
 from __future__ import annotations
 
 import abc
-import inspect
 import math
 from dataclasses import dataclass, field
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Mapping
 
 from repro.context import NULL_CONTEXT, AnalysisContext
 from repro.network.topology import Network
@@ -110,57 +109,18 @@ class Analyzer(abc.ABC):
         raise :class:`repro.errors.InstabilityError` on overload.
 
         *ctx* is the :class:`~repro.context.AnalysisContext` execution
-        layer (cooperative deadline, tracing, metrics).  Library
-        analyzers accept and honor it; external subclasses that predate
-        the context may omit the parameter — harness code dispatches
-        through :meth:`run`, which degrades gracefully for them.
+        layer (cooperative deadline, tracing, metrics).  Every analyzer
+        must accept it and honor its deadline by calling
+        ``ctx.checkpoint(...)`` at natural boundaries (per-server steps,
+        per-block evaluations).
         """
 
     def run(self, network: Network,
             ctx: AnalysisContext = NULL_CONTEXT) -> DelayReport:
-        """Analyze under *ctx*, tolerating ctx-unaware ``analyze``.
+        """Analyze under *ctx*.
 
         Harness layers (admission, survivability, the engine's cold
-        fallback) call this instead of ``analyze`` directly: subclasses
-        whose ``analyze`` does not accept ``ctx`` still run — inside a
-        span and behind a boundary deadline check.  Because such a
-        subclass cannot checkpoint mid-analysis, any deadline on *ctx*
-        is additionally armed as a ``SIGALRM`` backstop for it (no-op
-        off the POSIX main thread); ctx-aware analyzers rely on
-        cooperative checks and only get the signal when the caller
-        opts in.
+        fallback) call this one entry point, and perfbench's traced run
+        wraps it by name to time every analysis.
         """
-        if _accepts_ctx(type(self)):
-            return self.analyze(network, ctx=ctx)
-        ctx.checkpoint(f"{self.name} analysis start")
-        with ctx.span("analyze", algorithm=self.name, ctx_aware=False):
-            dl = ctx.deadline
-            if dl is None:
-                return self.analyze(network)
-            with dl.signal_backstop():
-                return self.analyze(network)
-
-    def delay_of(self, network: Network, flow_name: str) -> float:
-        """Convenience: analyze and return one flow's bound."""
-        return self.analyze(network).delay_of(flow_name)
-
-
-def _accepts_ctx(cls: type) -> bool:
-    """Whether ``cls.analyze`` takes the ``ctx`` keyword (cached)."""
-    cached = cls.__dict__.get("_analyze_accepts_ctx")
-    if cached is None:
-        try:
-            params = inspect.signature(cls.analyze).parameters
-            cached = "ctx" in params or any(
-                p.kind is inspect.Parameter.VAR_KEYWORD
-                for p in params.values())
-        except (TypeError, ValueError):  # pragma: no cover - exotic callables
-            cached = False
-        cls._analyze_accepts_ctx = cached
-    return cached
-
-
-def sum_contributions(
-        parts: Sequence[tuple[object, float]]) -> float:
-    """Total delay from ordered per-element contributions."""
-    return float(sum(d for _, d in parts))
+        return self.analyze(network, ctx=ctx)

@@ -31,6 +31,7 @@ topologies are a Python-API affair (see examples/custom_topology.py).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 from typing import Sequence
@@ -73,9 +74,12 @@ def _make_analyzer(name: str) -> Analyzer:
 
 
 def _open_store(path: str | None, *, read_only: bool = False):
-    """Open ``--store PATH`` writable (or read-only), or return None."""
+    """Open ``--store PATH`` writable (or read-only) for a ``with`` block.
+
+    Without a path the block gets ``None`` (a null context).
+    """
     if path is None:
-        return None
+        return contextlib.nullcontext()
     from repro.errors import StoreError
     from repro.store import AnalysisStore
 
@@ -96,8 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     def kernel_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument("--kernel", choices=KERNELS, default=None,
                        help="curve kernel: exact piecewise algebra "
-                            "(default), sampled grid backend, or auto "
-                            "(exact with grid fallback) — see "
+                            "(default) or sampled grid backend — see "
                             "docs/KERNELS.md")
 
     def store_arg(p: argparse.ArgumentParser) -> None:
@@ -500,26 +503,23 @@ def _cmd_admit(args) -> int:
     from repro.context import NULL_CONTEXT, AnalysisContext
 
     ctx = AnalysisContext.tracing() if args.trace else NULL_CONTEXT
-    store = _open_store(args.store)
-    if store is not None and not args.incremental:
-        # the store rides the engine's lookup ladder
-        args.incremental = True
-    empty = Network([ServerSpec(k) for k in range(1, args.hops + 1)], [])
-    controller = AdmissionController(empty, _make_analyzer(args.analyzer),
-                                     incremental=args.incremental,
-                                     context=ctx, store=store)
 
     def make(k: int) -> ConnectionRequest:
         return ConnectionRequest(
             f"conn_{k}", TokenBucket(1.0, args.rho, peak=1.0),
             tuple(range(1, args.hops + 1)), args.deadline)
 
-    try:
+    with _open_store(args.store) as store:
+        if store is not None and not args.incremental:
+            # the store rides the engine's lookup ladder
+            args.incremental = True
+        empty = Network([ServerSpec(k) for k in range(1, args.hops + 1)],
+                        [])
+        controller = AdmissionController(
+            empty, _make_analyzer(args.analyzer),
+            incremental=args.incremental, context=ctx, store=store)
         count = controller.admissible_count(make,
                                             max_tries=args.max_tries)
-    finally:
-        if store is not None:
-            store.close()
     print(f"{args.analyzer}: admitted {count} identical connections "
           f"(deadline {args.deadline:g}, rho {args.rho:g}, "
           f"{args.hops} hops)")
@@ -648,17 +648,13 @@ def _cmd_sweep(args) -> int:
         print(f"\r{done}/{total} points, {errors} errors, "
               f"ETA {eta:.0f}s ", end="", file=sys.stderr, flush=True)
 
-    store = _open_store(args.store)
-    try:
+    with _open_store(args.store) as store:
         points = evaluate_grid(
             analyzers, hops, loads, sigma=args.sigma,
             parallel=not args.serial, timeout=args.timeout,
             retries=args.retries, checkpoint=args.checkpoint,
             resume=args.resume, ctx=ctx, profile=args.profile,
             progress=progress, store=store)
-    finally:
-        if store is not None:
-            store.close()
     print(file=sys.stderr)
     timing = f" {'time':>8} " if args.profile else "  "
     print(f"{'analyzer':>15} {'hops':>5} {'load':>6} "
@@ -682,51 +678,50 @@ def _cmd_sweep(args) -> int:
     return 0 if failed == 0 else 1
 
 
+def _start_service(args, store):
+    """The service ``repro serve`` drives: resumed, or on fresh tandems."""
+    from repro.service import AdmissionService, recover_service
+
+    if args.resume:
+        service = recover_service(
+            args.journal,
+            analyzer=_make_analyzer(args.analyzer),
+            kernel=args.kernel,
+            analysis_budget=args.budget,
+            incremental=not args.no_incremental,
+            snapshot_every=args.snapshot_every,
+            shed_latency_s=args.shed_latency,
+            store=store)
+        print(f"recovered {len(service.admitted)} connection(s) "
+              f"from {args.journal}"
+              + (f" (store: {store.path})"
+                 if store is not None else ""))
+        return service
+    # --tandems T disjoint lines of --hops servers; requests
+    # round-robin across them (independent components, so
+    # --workers > 1 has concurrency to exploit)
+    empty = Network(
+        [ServerSpec(t * args.hops + k)
+         for t in range(args.tandems)
+         for k in range(1, args.hops + 1)], [])
+    return AdmissionService(
+        empty, _make_analyzer(args.analyzer),
+        journal_dir=args.journal,
+        kernel=args.kernel,
+        analysis_budget=args.budget,
+        incremental=not args.no_incremental,
+        snapshot_every=args.snapshot_every,
+        shed_latency_s=args.shed_latency,
+        store=store)
+
+
 def _cmd_serve(args) -> int:
     from repro.errors import JournalError, RecoveryError
-    from repro.service import AdmissionService, recover_service
 
     if args.tandems < 1:
         raise SystemExit("serve: --tandems must be >= 1")
     if args.workers < 1:
         raise SystemExit("serve: --workers must be >= 1")
-    store = _open_store(args.store)
-    try:
-        if args.resume:
-            service = recover_service(
-                args.journal,
-                analyzer=_make_analyzer(args.analyzer),
-                kernel=args.kernel,
-                analysis_budget=args.budget,
-                incremental=not args.no_incremental,
-                snapshot_every=args.snapshot_every,
-                shed_latency_s=args.shed_latency,
-                store=store)
-            print(f"recovered {len(service.admitted)} connection(s) "
-                  f"from {args.journal}"
-                  + (f" (store: {store.path})"
-                     if store is not None else ""))
-        else:
-            # --tandems T disjoint lines of --hops servers; requests
-            # round-robin across them (independent components, so
-            # --workers > 1 has concurrency to exploit)
-            empty = Network(
-                [ServerSpec(t * args.hops + k)
-                 for t in range(args.tandems)
-                 for k in range(1, args.hops + 1)], [])
-            service = AdmissionService(
-                empty, _make_analyzer(args.analyzer),
-                journal_dir=args.journal,
-                kernel=args.kernel,
-                analysis_budget=args.budget,
-                incremental=not args.no_incremental,
-                snapshot_every=args.snapshot_every,
-                shed_latency_s=args.shed_latency,
-                store=store)
-    except (JournalError, RecoveryError) as exc:
-        if store is not None:
-            store.close()
-        raise SystemExit(f"serve: {exc}") from None
 
     def make(k: int) -> ConnectionRequest:
         base = (k % args.tandems) * args.hops
@@ -744,10 +739,14 @@ def _cmd_serve(args) -> int:
               f"{outcome.reason}")
         return False
 
-    admitted = rejected = 0
-    start = len(service.admitted)
-    batch = max(1, args.batch) if args.workers > 1 else 1
-    try:
+    with _open_store(args.store) as store:
+        try:
+            service = _start_service(args, store)
+        except (JournalError, RecoveryError) as exc:
+            raise SystemExit(f"serve: {exc}") from None
+        admitted = rejected = 0
+        start = len(service.admitted)
+        batch = max(1, args.batch) if args.workers > 1 else 1
         with service.graceful_shutdown():
             k = start
             while k < start + args.count:
@@ -773,9 +772,6 @@ def _cmd_serve(args) -> int:
                 k += len(ks)
                 if args.interval > 0:
                     time.sleep(args.interval)
-    finally:
-        if store is not None:
-            store.close()
     lat = service.latency_quantiles()
     print(f"served {admitted} admission(s), {rejected} rejection(s); "
           f"journal at {args.journal} "
@@ -998,14 +994,12 @@ def _cmd_recover(args) -> int:
         print(f"  {name}")
     if args.no_verify:
         return 0
-    store = _open_store(args.store)
-    try:
-        report = verify_recovery(state, kernel=args.kernel, store=store)
-    except RecoveryError as exc:
-        raise SystemExit(f"recover: {exc}") from None
-    finally:
-        if store is not None:
-            store.close()
+    with _open_store(args.store) as store:
+        try:
+            report = verify_recovery(state, kernel=args.kernel,
+                                     store=store)
+        except RecoveryError as exc:
+            raise SystemExit(f"recover: {exc}") from None
     print(report.render())
     if args.show_bounds and report.final_bounds:
         for name, bound in sorted(report.final_bounds.items()):
@@ -1015,9 +1009,7 @@ def _cmd_recover(args) -> int:
 
 def _cmd_store(args) -> int:
     read_only = args.action in ("inspect", "verify")
-    store = _open_store(args.path, read_only=read_only)
-    assert store is not None  # path is a required positional
-    try:
+    with _open_store(args.path, read_only=read_only) as store:
         if args.action == "inspect":
             info = store.describe()
             cap = info["max_bytes"]
@@ -1039,8 +1031,6 @@ def _cmd_store(args) -> int:
         report = store.verify()
         print(report.render())
         return 0 if report.ok else 1
-    finally:
-        store.close()
 
 
 def _cmd_validate(args) -> int:

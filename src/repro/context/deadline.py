@@ -5,9 +5,7 @@ by itself: code under a deadline calls :meth:`check` at natural
 boundaries (per-server steps, per-block evaluations, per-scenario
 retests) and gets an :class:`~repro.errors.AnalysisTimeoutError` once
 the budget is exhausted — on any thread, with no signal handlers and no
-leaked workers.  It is the project's one timeout mechanism;
-:meth:`Deadline.signal_backstop` adds an opt-in ``SIGALRM`` guard for
-code that never checkpoints.
+leaked workers.  It is the project's one timeout mechanism.
 
 Deadlines are also *cancellable*: :meth:`cancel` makes every subsequent
 :meth:`check` raise, so an abandoned computation stops at its next
@@ -16,20 +14,12 @@ checkpoint instead of running to completion.
 
 from __future__ import annotations
 
-import signal
-import threading
-from contextlib import contextmanager
 from time import perf_counter
 from typing import Callable
 
 from repro.errors import AnalysisTimeoutError
 
 __all__ = ["Deadline"]
-
-
-def _sigalrm_usable() -> bool:
-    return (hasattr(signal, "SIGALRM")
-            and threading.current_thread() is threading.main_thread())
 
 
 class Deadline:
@@ -103,45 +93,6 @@ class Deadline:
                 f"{self.description} exceeded its {self.budget:g}s budget"
                 + (f" during {what}" if what else ""),
                 budget=self.budget, elapsed=elapsed)
-
-    # ------------------------------------------------------------------
-    # opt-in signal backstop
-    # ------------------------------------------------------------------
-
-    @contextmanager
-    def signal_backstop(self):
-        """Arm ``SIGALRM`` for the remaining budget (opt-in backstop).
-
-        Cooperative checks are the primary mechanism; this guards code
-        that never checkpoints (third-party analyzers, tight numeric
-        loops).  No-op off the POSIX main thread and when the budget is
-        already spent (the next :meth:`check` handles that).  An outer
-        pending timer (e.g. a test-suite hang guard) is re-armed with
-        its remaining time on exit.
-        """
-        remaining = self.remaining()
-        if not _sigalrm_usable() or remaining <= 0:
-            yield self
-            return
-
-        def on_alarm(signum, frame):
-            raise AnalysisTimeoutError(
-                f"{self.description} exceeded its {self.budget:g}s "
-                f"budget (signal backstop)",
-                budget=self.budget, elapsed=self.elapsed())
-
-        t0 = perf_counter()
-        prev_handler = signal.signal(signal.SIGALRM, on_alarm)
-        prev_delay, prev_interval = signal.setitimer(
-            signal.ITIMER_REAL, remaining)
-        try:
-            yield self
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, prev_handler)
-            if prev_delay:
-                left = max(prev_delay - (perf_counter() - t0), 1e-3)
-                signal.setitimer(signal.ITIMER_REAL, left, prev_interval)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = ("cancelled" if self._cancelled

@@ -18,9 +18,7 @@ check — negligible next to the numpy work each kernel performs.
 
 Exact-kernel counters: ``curve.exact_convolve`` /
 ``curve.exact_deconvolve`` count the general (mixed-convexity) exact
-paths; ``curve.fallbacks`` counts only the ``kernel="auto"`` grid
-fallback on a diverging deconvolution and is 0 on a pure exact run —
-see ``docs/KERNELS.md`` and ``docs/OBSERVABILITY.md``.
+paths — see ``docs/KERNELS.md`` and ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations

@@ -232,8 +232,7 @@ def exact_deconvolve(f: PiecewiseLinearCurve,
     Raises :class:`CurveError` when ``f`` outgrows ``g``
     (``f.final_slope > g.final_slope``): the supremum is infinite and
     no finite curve bounds the output.  The grid backend silently
-    truncates that divergence at its horizon; the ``auto`` kernel
-    preserves the legacy behavior by falling back on this error.
+    truncates that divergence at its horizon.
     """
     if f.final_slope > g.final_slope + EPS:
         raise CurveError(

@@ -1,4 +1,4 @@
-"""Curve-kernel selection: exact / grid / auto.
+"""Curve-kernel selection: exact / grid.
 
 The functional façade (:mod:`repro.curves.operations`) dispatches every
 general min-plus operation on the *active kernel*:
@@ -12,10 +12,6 @@ general min-plus operation on the *active kernel*:
     4096-point grids with rate-aware horizons and resolution-derived
     soundness pads.  Kept as a differential-checking backend and for
     comparison benchmarks.
-``"auto"``
-    Exact first; on :class:`~repro.errors.CurveError` (e.g. a diverging
-    deconvolution the grid backend would silently truncate) falls back
-    to the grid backend and counts ``curve.fallbacks``.
 
 Selection mirrors the metrics registry's thread-local activation
 pattern (:mod:`repro.context.metrics`): analyses activate a kernel for
@@ -41,7 +37,7 @@ __all__ = [
 ]
 
 #: The valid kernel identifiers, in preference order.
-KERNELS = ("exact", "grid", "auto")
+KERNELS = ("exact", "grid")
 
 #: Compiled-in default when neither a scope nor the environment selects.
 DEFAULT_KERNEL = "exact"

@@ -17,10 +17,6 @@ on the *active curve kernel* (see :mod:`repro.curves.kernels` and
     one (delay/backlog bounds err on the safe side; deconvolution is
     lifted by its documented pad).  Kept as the differential-checking
     backend — see :func:`repro.validate.oracles.check_exact_grid`.
-``auto``
-    Exact first; on :class:`~repro.errors.CurveError` (a diverging
-    deconvolution) falls back to the grid backend and counts
-    ``curve.fallbacks`` — the legacy truncating behavior, opt-in.
 
 Every function takes an optional ``kernel=`` override; the default is
 the thread's active kernel (:func:`repro.curves.kernels.current_kernel`).
@@ -112,7 +108,6 @@ def convolve(f: PiecewiseLinearCurve, g: PiecewiseLinearCurve,
     k = _kernel(kernel)
     if k == "grid":
         return _grid_convolve(f, g, horizon)
-    # exact convolution is total: "exact" and "auto" coincide here
     return exact_convolve(f, g)
 
 
@@ -181,20 +176,11 @@ def deconvolve(f: PiecewiseLinearCurve, g: PiecewiseLinearCurve,
     over breakpoint offsets with no horizon and raises
     :class:`CurveError` when it diverges (``f`` outgrows ``g``); the
     grid backend truncates at its rate-aware horizon instead and pads
-    the result to dominate the exact one.  ``auto`` tries exact and
-    falls back to the grid on divergence (counted as
-    ``curve.fallbacks``).
+    the result to dominate the exact one.
     """
-    k = _kernel(kernel)
-    if k == "grid":
+    if _kernel(kernel) == "grid":
         return _grid_deconvolve(f, g, horizon)
-    if k == "exact":
-        return exact_deconvolve(f, g)
-    try:
-        return exact_deconvolve(f, g)
-    except CurveError:
-        kernel_count("curve.fallbacks")
-        return _grid_deconvolve(f, g, horizon)
+    return exact_deconvolve(f, g)
 
 
 def _max_abs_slope(c: PiecewiseLinearCurve) -> float:
@@ -207,7 +193,7 @@ def hdev(arrival: PiecewiseLinearCurve,
          kernel: str | None = None) -> float:
     """Horizontal deviation (worst-case delay bound).
 
-    Exact on the ``exact``/``auto`` kernels.  The grid backend samples
+    Exact on the ``exact`` kernel.  The grid backend samples
     both curves on a rate-aware grid and **adds its documented error
     envelope** (``2·dt·(1 + L_arr / rate_srv)``) so the sampled bound
     always dominates the exact one — a sampled delay bound below the
@@ -233,7 +219,7 @@ def vdev(arrival: PiecewiseLinearCurve,
          kernel: str | None = None) -> float:
     """Vertical deviation (worst-case backlog bound).
 
-    Exact on the ``exact``/``auto`` kernels; the grid backend adds its
+    Exact on the ``exact`` kernel; the grid backend adds its
     error envelope (``2·dt·(L_arr + L_srv)``) so the sampled bound
     dominates the exact one.
     """

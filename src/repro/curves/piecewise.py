@@ -229,14 +229,6 @@ class PiecewiseLinearCurve:
         return PiecewiseLinearCurve(self.x[keep], self.y[keep],
                                     self.final_slope)
 
-    def _extended_to(self, xmax: float) -> tuple[np.ndarray, np.ndarray]:
-        """Breakpoints extended (with the final slope) to include xmax."""
-        if xmax <= self.x[-1]:
-            return self.x, self.y
-        x = np.append(self.x, xmax)
-        y = np.append(self.y, self.y[-1] + self.final_slope * (xmax - self.x[-1]))
-        return x, y
-
     # ------------------------------------------------------------------
     # pointwise arithmetic
     # ------------------------------------------------------------------

@@ -213,11 +213,6 @@ class IncrementalEngine(Analyzer):
         return self._network
 
     @property
-    def cache_size(self) -> int:
-        """Number of entries in the content-addressed cache."""
-        return len(self._cache)
-
-    @property
     def store(self) -> AnalysisStore | None:
         """The persistent second cache tier, when attached."""
         return self._store

@@ -134,6 +134,11 @@ def recover_state(directory: str | Path) -> RecoveredState:
         admitted = []
         snapshot_seq = 0
         records = records[1:]
+    if kernel == "auto":
+        # The retired ``auto`` kernel ran the exact algebra unless a
+        # deconvolution diverged; such a bound cannot re-verify under
+        # ``exact`` and surfaces as a reported mismatch, never silently.
+        kernel = "exact"
 
     network = base_network
     last_seq = snapshot_seq

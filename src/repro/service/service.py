@@ -168,7 +168,6 @@ class AdmissionService:
                  conservative: bool = True,
                  incremental: bool = True,
                  analysis_budget: float | None = None,
-                 signal_backstop: bool = False,
                  breaker_threshold: int = 3,
                  breaker_reset_s: float = 30.0,
                  snapshot_every: int = 64,
@@ -209,7 +208,6 @@ class AdmissionService:
         controller_kwargs = dict(
             fallbacks=tuple(chain_fallbacks),
             analysis_budget=analysis_budget,
-            signal_backstop=signal_backstop,
             context=ctx,
             incremental=incremental,
             analyzer_gate=self._gate,

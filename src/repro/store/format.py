@@ -39,7 +39,7 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import BinaryIO, Iterator
+from typing import BinaryIO
 
 __all__ = [
     "FORMAT_VERSION",
@@ -149,11 +149,3 @@ def scan_segment(fh: BinaryIO) -> tuple[list[FrameRef], int, bool]:
         pos = payload_off + length
         fh.seek(pos)
     return frames, pos, True
-
-
-def iter_frames(fh: BinaryIO) -> Iterator[tuple[FrameRef, bytes]]:
-    """Yield ``(ref, payload)`` for every complete frame (verify use)."""
-    frames, _, _ = scan_segment(fh)
-    for ref in frames:
-        fh.seek(ref.offset)
-        yield ref, fh.read(ref.length)

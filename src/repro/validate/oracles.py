@@ -32,7 +32,7 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.analysis.base import Analyzer, DelayReport
+from repro.analysis.base import Analyzer
 from repro.analysis.decomposed import DecomposedAnalysis
 from repro.context import NULL_CONTEXT, AnalysisContext
 from repro.core.integrated import IntegratedAnalysis
@@ -517,8 +517,3 @@ def check_exact_grid(seed: int, *, trials: int = 6,
 
 def _longest_flow(network: Network) -> str:
     return max(network.flows.values(), key=lambda f: f.n_hops).name
-
-
-def bounds_of(report: DelayReport) -> dict[str, float]:
-    """Per-flow bound mapping of a report (repro-case payloads)."""
-    return {name: fd.total for name, fd in report.delays.items()}

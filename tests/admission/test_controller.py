@@ -26,22 +26,25 @@ class FailingAnalyzer(Analyzer):
         self.exc_type = exc_type
         self.calls = 0
 
-    def analyze(self, network):
+    def analyze(self, network, *, ctx):
         self.calls += 1
         raise self.exc_type("deliberately broken")
 
 
 class SlowAnalyzer(Analyzer):
-    """Sleeps past any reasonable budget before answering."""
+    """Sleeps past any reasonable budget, checkpointing between slices."""
 
     name = "slow"
 
     def __init__(self, delay=5.0):
         self.delay = delay
 
-    def analyze(self, network):
-        time.sleep(self.delay)
-        return DecomposedAnalysis().analyze(network)
+    def analyze(self, network, *, ctx):
+        end = time.monotonic() + self.delay
+        while time.monotonic() < end:
+            time.sleep(0.01)
+            ctx.checkpoint("slow analysis")
+        return DecomposedAnalysis().analyze(network, ctx=ctx)
 
 
 TB = TokenBucket(1.0, 0.1, peak=1.0)

@@ -1,7 +1,5 @@
 """Unit tests for the cooperative Deadline."""
 
-import signal
-
 import pytest
 
 from repro.context import Deadline
@@ -84,78 +82,3 @@ class TestDeadline:
         assert not dl.cancelled
         dl.check()
 
-
-class TestSignalBackstop:
-    def test_preempts_noncooperative_code(self):
-        import time
-
-        dl = Deadline(0.1, "tight loop")
-        with pytest.raises(AnalysisTimeoutError) as ei:
-            with dl.signal_backstop():
-                time.sleep(5)
-        assert "signal backstop" in str(ei.value)
-
-    def test_restores_handler_and_timer(self):
-        import time
-
-        before = signal.getsignal(signal.SIGALRM)
-        dl = Deadline(0.05)
-        with pytest.raises(AnalysisTimeoutError):
-            with dl.signal_backstop():
-                time.sleep(1)
-        assert signal.getsignal(signal.SIGALRM) is before
-        delay, interval = signal.setitimer(signal.ITIMER_REAL, 0)
-        try:
-            # only the suite's own hang guard may remain pending — the
-            # backstop's 0.05s timer must be gone
-            assert delay == 0.0 or delay > 10.0
-        finally:
-            if delay:  # re-arm the hang guard we just read off
-                signal.setitimer(signal.ITIMER_REAL, delay, interval)
-
-    def test_noop_when_budget_already_spent(self):
-        clock = FakeClock()
-        dl = Deadline(1.0, clock=clock)
-        clock.advance(2.0)
-        # must not arm a zero/negative timer; the block runs and the
-        # next cooperative check reports the expiry
-        with dl.signal_backstop():
-            pass
-        with pytest.raises(AnalysisTimeoutError):
-            dl.check()
-
-    def test_noop_off_main_thread(self):
-        import threading
-
-        outcome: dict = {}
-
-        def run():
-            dl = Deadline(0.05)
-            try:
-                with dl.signal_backstop():
-                    outcome["entered"] = True
-            except Exception as exc:  # pragma: no cover
-                outcome["error"] = exc
-
-        t = threading.Thread(target=run)
-        t.start()
-        t.join(timeout=3)
-        assert outcome.get("entered") is True
-        assert "error" not in outcome
-
-    def test_rearms_outer_timer(self):
-        import time
-
-        fired = []
-        prev = signal.signal(signal.SIGALRM, lambda s, f: fired.append(s))
-        signal.setitimer(signal.ITIMER_REAL, 10.0)
-        try:
-            dl = Deadline(5.0)
-            with dl.signal_backstop():
-                time.sleep(0.01)
-            delay, _ = signal.setitimer(signal.ITIMER_REAL, 0)
-            assert 0.0 < delay <= 10.0
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, prev)
-        assert not fired

@@ -13,12 +13,10 @@ import math
 
 import pytest
 
-from repro.curves.kernels import use_kernel
+from repro.curves.kernels import KERNELS, use_kernel
 from repro.curves.operations import busy_period
 from repro.curves.piecewise import PiecewiseLinearCurve as P
 from repro.errors import CurveError
-
-KERNELS = ("exact", "grid", "auto")
 
 
 @pytest.fixture(params=KERNELS)

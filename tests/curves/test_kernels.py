@@ -1,29 +1,32 @@
-"""Kernel selection and dispatch: resolve / precedence / auto fallback.
+"""Kernel selection and dispatch: resolve / precedence / divergence.
 
 The dispatch contract (see docs/KERNELS.md): per-call ``kernel=``
 argument beats the innermost :func:`use_kernel` scope, which beats the
 ``REPRO_CURVE_KERNEL`` environment variable, which beats the compiled
-default ``"exact"``.  The ``auto`` kernel only touches the grid on a
-diverging deconvolution, and counts every such fallback.
+default ``"exact"``.  A diverging deconvolution raises on the exact
+kernel; nothing silently switches to the grid.
 """
 
-import numpy as np
 import pytest
 
 from repro.context import AnalysisContext
-from repro.context.metrics import MetricsRegistry, activate_registry
 from repro.curves.kernels import (DEFAULT_KERNEL, ENV_VAR, KERNELS,
                                   current_kernel, resolve_kernel,
                                   use_kernel)
-from repro.curves.operations import convolve, deconvolve
+from repro.curves.operations import deconvolve
 from repro.curves.piecewise import PiecewiseLinearCurve as P
 from repro.errors import CurveError
 
 
 class TestResolveKernel:
     def test_valid_names(self):
+        assert KERNELS == ("exact", "grid")
         for name in KERNELS:
             assert resolve_kernel(name) == name
+
+    def test_retired_auto_kernel_raises(self):
+        with pytest.raises(ValueError, match="unknown curve kernel"):
+            resolve_kernel("auto")
 
     def test_normalizes_case_and_whitespace(self):
         assert resolve_kernel("  Exact ") == "exact"
@@ -50,6 +53,11 @@ class TestPrecedence:
         with pytest.raises(ValueError):
             current_kernel()
 
+    def test_retired_auto_env_raises(self, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, "auto")
+        with pytest.raises(ValueError, match="unknown curve kernel"):
+            current_kernel()
+
     def test_scope_overrides_env(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "grid")
         with use_kernel("exact"):
@@ -59,8 +67,8 @@ class TestPrecedence:
     def test_scopes_nest_and_restore(self):
         with use_kernel("grid"):
             assert current_kernel() == "grid"
-            with use_kernel("auto"):
-                assert current_kernel() == "auto"
+            with use_kernel("exact"):
+                assert current_kernel() == "exact"
             assert current_kernel() == "grid"
 
     def test_none_scope_is_passthrough(self, monkeypatch):
@@ -91,6 +99,11 @@ class TestPrecedence:
             with use_kernel("fast"):
                 pass  # pragma: no cover
 
+    def test_retired_auto_scope_raises(self):
+        with pytest.raises(ValueError, match="unknown curve kernel"):
+            with use_kernel("auto"):
+                pass  # pragma: no cover
+
 
 class TestContextPropagation:
     def test_with_kernel_copies(self):
@@ -114,23 +127,7 @@ class TestContextPropagation:
 
 
 class TestAutoFallback:
-    def test_exact_path_counts_no_fallbacks(self):
-        reg = MetricsRegistry()
-        f, g = P.affine(1.0, 0.25), P.rate_latency(1.0, 2.0)
-        with activate_registry(reg), use_kernel("auto"):
-            deconvolve(f, g)
-            convolve(f.minimum(P.rate_latency(2.0, 0.5)), g)
-        assert reg.get("curve.fallbacks") == 0.0
-
-    def test_diverging_deconvolve_falls_back_and_counts(self):
-        # numerator outgrows denominator: exact raises, auto falls
-        # back to the horizon-truncating grid backend
-        reg = MetricsRegistry()
-        f, g = P.affine(1.0, 2.0), P.line(1.0)
-        with activate_registry(reg), use_kernel("auto"):
-            out = deconvolve(f, g)
-        assert reg.get("curve.fallbacks") == 1.0
-        assert np.isfinite(out(0.0))
+    """No automatic fallback: exact raises where the grid would truncate."""
 
     def test_exact_kernel_raises_instead(self):
         with use_kernel("exact"):

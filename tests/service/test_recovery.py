@@ -337,3 +337,54 @@ class TestRecoverService:
         assert svc2.admitted == ("c0", "c1", "c2")
         assert verify_recovery(d).ok
         svc2.close()
+
+
+class TestRetiredAutoKernel:
+    """Journals recorded under the retired ``auto`` kernel recover as exact."""
+
+    @staticmethod
+    def auto_journal(d):
+        crashed_service(d, n_admit=3)
+        path = d / "journal.jsonl"
+        records = [json.loads(line)
+                   for line in path.read_text().splitlines()]
+        assert records[0]["op"] == "base"
+        assert records[0]["kernel"] == "exact"
+        records[0]["kernel"] = "auto"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+    def test_recovers_verifies_and_resumes_under_exact(self, tmp_path):
+        d = tmp_path / "j"
+        self.auto_journal(d)
+        state = recover_state(d)
+        assert state.kernel == "exact"
+        assert state.admitted == ("c0", "c1", "c2")
+        report = verify_recovery(d)
+        assert report.ok and report.checked == 3
+        svc = recover_service(d, incremental=False)
+        assert svc.admit(request("c3")).admitted
+        svc.close()  # final snapshot records the resumed kernel
+        snapshot = json.loads((d / "snapshot.json").read_text())
+        assert snapshot["kernel"] == "exact"
+        assert verify_recovery(d).ok
+
+    def test_auto_snapshot_maps_to_exact(self, tmp_path):
+        d = tmp_path / "j"
+        self.auto_journal(d)
+        recover_service(d, incremental=False).close()
+        path = d / "snapshot.json"
+        snapshot = json.loads(path.read_text())
+        snapshot["kernel"] = "auto"
+        path.write_text(json.dumps(snapshot))
+        assert recover_state(d).kernel == "exact"
+        assert verify_recovery(d).ok
+
+    def test_repro_recover_exits_zero(self, tmp_path, capsys):
+        from repro.cli import main
+
+        d = tmp_path / "j"
+        self.auto_journal(d)
+        assert main(["recover", "--journal", str(d)]) == 0
+        out = capsys.readouterr().out
+        assert "kernel exact" in out
+        assert "all bit-identical" in out

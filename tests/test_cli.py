@@ -18,6 +18,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figures", "--figure", "FIG9"])
 
+    def test_retired_auto_kernel_rejected(self, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["admit", "--hops", "2", "--kernel", "auto"])
+        assert ei.value.code == 2
+        assert "invalid choice: 'auto'" in capsys.readouterr().err
+
 
 class TestAnalyze:
     def test_all_analyzers(self, capsys):
