@@ -81,11 +81,14 @@ def run_bench(store_dir: str, quick: bool = False) -> dict:
     # ---- process 1: engine populates the store -----------------------
     t0 = time.perf_counter()
     with AnalysisStore(store_dir) as store:
-        eng = IncrementalEngine(DecomposedAnalysis(), net, store=store)
-        eng.query()
+        eng = IncrementalEngine(DecomposedAnalysis(), store=store)
+        eng.analyze(net)
+        current = net
         for name in picks:
-            eng.release(name)
-            eng.admit(net.flows[name])
+            current = current.without_flow(name)
+            eng.analyze(current)
+            current = current.with_flow(net.flows[name])
+            eng.analyze(current)
         entries = len(store)
     populate_s = time.perf_counter() - t0
 
@@ -93,16 +96,18 @@ def run_bench(store_dir: str, quick: bool = False) -> dict:
     mismatches: list[str] = []
     t_warm_admit = 0.0
     with AnalysisStore(store_dir) as store:
-        eng = IncrementalEngine(DecomposedAnalysis(), net, store=store)
+        eng = IncrementalEngine(DecomposedAnalysis(), store=store)
         t0 = time.perf_counter()
-        warm_report = eng.query()
+        warm_report = eng.analyze(net)
         warm_full_s = time.perf_counter() - t0
         mismatches += _diff("full", warm_report, cold_report, net)
+        current = net
         for name, c_rel, c_adm in cold_cycles:
-            t0 = time.perf_counter()
-            w_rel = eng.release(name)
+            current = current.without_flow(name)
+            w_rel = eng.analyze(current)
             t0b = time.perf_counter()
-            w_adm = eng.admit(net.flows[name])
+            current = current.with_flow(net.flows[name])
+            w_adm = eng.analyze(current)
             t_warm_admit += time.perf_counter() - t0b
             mismatches += _diff(f"release {name}", w_rel, c_rel,
                                 net.without_flow(name))

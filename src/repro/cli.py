@@ -39,9 +39,7 @@ from typing import Sequence
 from repro.admission.controller import AdmissionController
 from repro.admission.requests import ConnectionRequest
 from repro.analysis.base import Analyzer
-from repro.analysis.decomposed import DecomposedAnalysis
-from repro.analysis.feedback import FeedbackAnalysis
-from repro.analysis.service_curve import ServiceCurveAnalysis
+from repro.analysis.registry import ANALYZERS
 from repro.core.integrated import IntegratedAnalysis
 from repro.curves.kernels import ENV_VAR as KERNEL_ENV_VAR
 from repro.curves.kernels import KERNELS
@@ -55,13 +53,6 @@ from repro.network.topology import Network, ServerSpec
 from repro.sim.simulator import simulate_greedy
 
 __all__ = ["main", "build_parser"]
-
-ANALYZERS = {
-    "decomposed": DecomposedAnalysis,
-    "service_curve": ServiceCurveAnalysis,
-    "integrated": IntegratedAnalysis,
-    "feedback": FeedbackAnalysis,
-}
 
 
 def _make_analyzer(name: str) -> Analyzer:

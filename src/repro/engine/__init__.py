@@ -11,7 +11,7 @@ results.  :class:`IncrementalEngine` exploits that with
 * a dependency graph mapping each server to the flows traversing it
   (:mod:`repro.engine.depgraph`),
 * a content-addressed cache of per-server / per-block intermediate
-  results (:mod:`repro.engine.cache`), and
+  results (:mod:`repro.engine.incremental`), and
 * precise invalidation: a changed flow dirties only the servers on its
   path plus everything downstream via burstiness propagation.
 
@@ -20,7 +20,6 @@ DelayReport` objects are **bit-identical** to a cold full analysis —
 enforced by the differential test harness in ``tests/engine/``.
 """
 
-from repro.engine.cache import CacheEntry, ResultCache
 from repro.engine.depgraph import DependencyGraph, affected_cone
 from repro.engine.incremental import (
     IncrementalEngine,
@@ -35,8 +34,6 @@ __all__ = [
     "EngineStats",
     "DependencyGraph",
     "affected_cone",
-    "ResultCache",
-    "CacheEntry",
     "reports_identical",
     "describe_report_difference",
     "subnetwork",

@@ -12,11 +12,13 @@ handful of flows.  Three mechanisms cooperate:
 2. **Fast reuse**: per-server / per-block results from the previous
    sweep are replayed verbatim for every block outside the cone — no
    input construction, no hashing, no computation.
-3. **Content-addressed cache** (:mod:`repro.engine.cache`): blocks
-   inside the cone are keyed by a stable digest of their *exact*
-   inputs (specs, flow roles, IEEE-754 bits of every curve); a hit —
-   e.g. releasing a flow back to a previously seen state — replays the
-   stored result.
+3. **Content-addressed cache**: blocks inside the cone are keyed by a
+   stable digest of their *exact* inputs (specs, flow roles, IEEE-754
+   bits of every curve); a hit — e.g. releasing a flow back to a
+   previously seen state — replays the stored result.  Because a key
+   covers every input bit, the cache never needs invalidating for
+   correctness; it is unbounded (intermediate results are a few curve
+   arrays each).
 
 Because every reused result was originally produced by the very same
 pure per-block function the cold analyzer runs
@@ -46,7 +48,6 @@ from repro.core.integrated import (
 )
 from repro.core.fifo_family import SOLVER_VERSION as FAMILY_SOLVER_VERSION
 from repro.curves.kernels import current_kernel
-from repro.engine.cache import ResultCache
 from repro.engine.depgraph import DependencyGraph, affected_cone
 from repro.engine.stats import EngineStats
 from repro.errors import EngineError, StoreError
@@ -152,18 +153,6 @@ class IncrementalEngine(Analyzer):
         DecomposedAnalysis` and :class:`~repro.core.integrated.
         IntegratedAnalysis` run incrementally; anything else falls back
         to cold full analysis on every query.
-    network:
-        Optional initial network for the stateful
-        :meth:`admit` / :meth:`release` / :meth:`query` interface.  The
-        stateless :meth:`analyze` works without it.
-    max_cache_entries:
-        Bound on the content-addressed cache (LRU beyond it);
-        ``None`` = unbounded.
-    self_check:
-        Run a cold full analysis after every incremental sweep and
-        raise :class:`~repro.errors.EngineError` unless the reports are
-        bit-identical.  For differential harnesses and paranoid
-        deployments; roughly doubles the cost of every query.
     store:
         Optional :class:`~repro.store.AnalysisStore` second cache tier:
         a memory miss probes the store before computing cold, and
@@ -175,10 +164,7 @@ class IncrementalEngine(Analyzer):
         error on the analysis path.
     """
 
-    def __init__(self, analyzer: Analyzer,
-                 network: Network | None = None, *,
-                 max_cache_entries: int | None = None,
-                 self_check: bool = False,
+    def __init__(self, analyzer: Analyzer, *,
                  store: AnalysisStore | None = None) -> None:
         if isinstance(analyzer, IncrementalEngine):
             raise EngineError("cannot wrap an IncrementalEngine in "
@@ -192,10 +178,8 @@ class IncrementalEngine(Analyzer):
             self._mode = None
         self.name = f"incremental+{analyzer.name}"
         self.stats = EngineStats()
-        self._cache = ResultCache(max_cache_entries)
+        self._cache: dict[bytes, _Record] = {}
         self._memo: _SweepMemo | None = None
-        self._network = network
-        self._self_check = bool(self_check)
         self._store = store
 
     # ------------------------------------------------------------------
@@ -206,11 +190,6 @@ class IncrementalEngine(Analyzer):
     def analyzer(self) -> Analyzer:
         """The wrapped (cold) analyzer."""
         return self._analyzer
-
-    @property
-    def network(self) -> Network | None:
-        """Current network of the stateful admit/release interface."""
-        return self._network
 
     @property
     def store(self) -> AnalysisStore | None:
@@ -299,15 +278,6 @@ class IncrementalEngine(Analyzer):
         report = self._analyzer.analyze(network, ctx=sweep_ctx)
         self._memo = _SweepMemo(network, depgraph, fingerprint,
                                 outcomes, report)
-
-        if self._self_check:
-            self.stats.self_checks += 1
-            cold = self._analyzer.analyze(network)
-            diff = describe_report_difference(report, cold)
-            if diff is not None:
-                raise EngineError(
-                    f"incremental result diverged from cold analysis: "
-                    f"{diff}")
         return report
 
     def _plan(self, memo: _SweepMemo | None, network: Network,
@@ -364,14 +334,14 @@ class IncrementalEngine(Analyzer):
                 return rec[0]
         payload = build()
         key = key_fn(payload)
-        entry = self._cache.get(key)
-        if entry is not None:
+        rec = self._cache.get(key)
+        if rec is not None:
             self.stats.hits += 1
-            self.stats.saved_s += entry.compute_time
+            self.stats.saved_s += rec[1]
             ctx.count("engine.hits")
             ctx.annotate(cache="hit")
-            outcomes[unit] = (entry.value, entry.compute_time)
-            return entry.value
+            outcomes[unit] = rec
+            return rec[0]
         if self._store is not None:
             stored = self._store.get(key)
             if stored is not None:
@@ -379,8 +349,9 @@ class IncrementalEngine(Analyzer):
                 self.stats.saved_s += stored.compute_time
                 ctx.count("store.hits")
                 ctx.annotate(cache="store_hit")
-                self._cache.put(key, stored.value, stored.compute_time)
-                outcomes[unit] = (stored.value, stored.compute_time)
+                rec = (stored.value, stored.compute_time)
+                self._cache[key] = rec
+                outcomes[unit] = rec
                 return stored.value
             self.stats.store_misses += 1
             ctx.count("store.misses")
@@ -392,9 +363,10 @@ class IncrementalEngine(Analyzer):
         ctx.count("engine.misses")
         ctx.count("engine.spent_s", dt)
         ctx.annotate(cache="miss")
-        self._cache.put(key, value, dt)
+        rec = (value, dt)
+        self._cache[key] = rec
         self._persist(key, value, dt, ctx)
-        outcomes[unit] = (value, dt)
+        outcomes[unit] = rec
         return value
 
     def _persist(self, key: bytes, value: object, dt: float,
@@ -434,57 +406,8 @@ class IncrementalEngine(Analyzer):
         return block_step
 
     # ------------------------------------------------------------------
-    # stateful admission interface
+    # cross-process seeding
     # ------------------------------------------------------------------
-
-    def _require_network(self) -> Network:
-        if self._network is None:
-            raise EngineError(
-                "engine has no base network; construct with "
-                "IncrementalEngine(analyzer, network) to use "
-                "admit/release/query")
-        return self._network
-
-    def query(self, *, ctx: AnalysisContext = NULL_CONTEXT) -> DelayReport:
-        """Bounds for the current network (cheap when nothing changed)."""
-        return self.analyze(self._require_network(), ctx=ctx)
-
-    def admit(self, flow: Flow, *,
-              ctx: AnalysisContext = NULL_CONTEXT) -> DelayReport:
-        """Add *flow* and return the new network's report.
-
-        Transactional: if the topology rejects the flow or the
-        analysis raises (e.g. the flow overloads a server), the
-        engine's network is unchanged.
-        """
-        candidate = self._require_network().with_flow(flow)
-        report = self.analyze(candidate, ctx=ctx)
-        self._network = candidate
-        return report
-
-    def admit_batch(self, flows: Iterable[Flow], *,
-                    ctx: AnalysisContext = NULL_CONTEXT) -> DelayReport:
-        """Admit several flows in ONE invalidation pass.
-
-        Coalescing N pending requests dirties the union cone once and
-        runs a single sweep, instead of N sweeps with overlapping
-        cones.  All-or-nothing: any failure leaves the network as it
-        was.
-        """
-        candidate = self._require_network()
-        for flow in flows:
-            candidate = candidate.with_flow(flow)
-        report = self.analyze(candidate, ctx=ctx)
-        self._network = candidate
-        return report
-
-    def release(self, name: str, *,
-                ctx: AnalysisContext = NULL_CONTEXT) -> DelayReport:
-        """Remove flow *name* and return the new network's report."""
-        candidate = self._require_network().without_flow(name)
-        report = self.analyze(candidate, ctx=ctx)
-        self._network = candidate
-        return report
 
     def seed_cache(self, records: Iterable[tuple[bytes, object, float]],
                    ) -> int:
@@ -502,13 +425,8 @@ class IncrementalEngine(Analyzer):
         """
         added = 0
         for key, value, dt in records:
-            if self._cache.get(key) is None:
-                self._cache.put(key, value, dt)
+            if key not in self._cache:
+                self._cache[key] = (value, dt)
                 added += 1
             self._persist(key, value, dt, NULL_CONTEXT)
         return added
-
-    def reset_cache(self) -> None:
-        """Drop every cached result and sweep memo (not the stats)."""
-        self._cache.clear()
-        self._memo = None

@@ -19,7 +19,7 @@ __all__ = ["EngineStats"]
 
 #: Integer counters, in render order.
 _COUNTERS = ("queries", "hits", "misses", "store_hits", "store_misses",
-             "fast_reuses", "invalidations", "fallbacks", "self_checks")
+             "fast_reuses", "invalidations", "fallbacks")
 #: Seconds accumulators.
 _SECONDS = ("saved_s", "spent_s")
 
@@ -60,8 +60,6 @@ class EngineStats:
     fallbacks:
         Queries answered by a cold full analysis (unsupported analyzer
         or network shape).
-    self_checks:
-        Differential self-checks performed (``self_check=True``).
     saved_s:
         Estimated wall-clock seconds saved: the original compute time
         of every result served from cache or reused.
@@ -88,7 +86,6 @@ class EngineStats:
     fast_reuses = _counter("fast_reuses", int)
     invalidations = _counter("invalidations", int)
     fallbacks = _counter("fallbacks", int)
-    self_checks = _counter("self_checks", int)
     saved_s = _counter("saved_s", float)
     spent_s = _counter("spent_s", float)
 

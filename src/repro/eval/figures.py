@@ -23,9 +23,7 @@ from typing import Callable, Mapping, Sequence
 
 from repro.analysis.base import Analyzer
 from repro.analysis.comparison import relative_improvement
-from repro.analysis.decomposed import DecomposedAnalysis
-from repro.analysis.service_curve import ServiceCurveAnalysis
-from repro.core.integrated import IntegratedAnalysis
+from repro.analysis.registry import PAPER_ANALYZERS
 from repro.eval.workloads import Sweep, default_sweep
 from repro.network.tandem import CONNECTION0, build_tandem
 
@@ -64,13 +62,8 @@ class FigureData:
 
 
 def _analyzer_factory(name: str) -> Callable[[], Analyzer]:
-    factories: Mapping[str, Callable[[], Analyzer]] = {
-        "decomposed": DecomposedAnalysis,
-        "service_curve": ServiceCurveAnalysis,
-        "integrated": IntegratedAnalysis,
-    }
     try:
-        return factories[name]
+        return PAPER_ANALYZERS[name]
     except KeyError:
         raise ValueError(f"unknown analyzer {name!r}") from None
 

@@ -42,13 +42,13 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from repro.context import NULL_CONTEXT, AnalysisContext, MetricsRegistry
-from repro.curves.kernels import current_kernel
+from repro.curves.kernels import current_kernel, use_kernel
 from repro.engine.parallel import (
     open_worker_store,
     store_interceptors,
     write_seeds,
 )
-from repro.eval.figures import _analyzer_factory  # shared registry
+from repro.eval.figures import _analyzer_factory
 from repro.network.tandem import CONNECTION0, build_tandem
 from repro.utils.durable import atomic_write_text
 
@@ -125,11 +125,14 @@ def _worker_store(path: str):
     return store
 
 
-def _evaluate_one(args: _Task, profile: bool = False,
+def _evaluate_one(args: _Task, kernel: str, profile: bool = False,
                   store_path: str | None = None):
-    """Evaluate one grid point; the worker entry point.
+    """Evaluate one grid point under curve *kernel*; the worker entry
+    point.
 
-    Returns the bare :class:`SweepPoint` without a store, or
+    The kernel travels as an argument, not through the worker's
+    ambient selection, which a spawned (not forked) worker would not
+    inherit.  Returns the bare :class:`SweepPoint` without a store, or
     ``(point, seed_records)`` when *store_path* is set — fresh
     per-unit results travel back to the driver, which owns the single
     writable handle.
@@ -137,14 +140,8 @@ def _evaluate_one(args: _Task, profile: bool = False,
     analyzer_name, n_hops, load, sigma = args
     _maybe_inject_fault(args)
     start = time.perf_counter()
-    kernel = current_kernel()
     analyzer = _analyzer_factory(analyzer_name)()
     net = build_tandem(n_hops, load, sigma)
-    if not profile and store_path is None:
-        delay = analyzer.analyze(net).delay_of(CONNECTION0)
-        return SweepPoint(analyzer_name, n_hops, load, sigma, delay,
-                          elapsed_s=time.perf_counter() - start,
-                          kernel=kernel)
     records: dict = {}
     ctx = (AnalysisContext(metrics=MetricsRegistry()) if profile
            else NULL_CONTEXT)
@@ -152,19 +149,19 @@ def _evaluate_one(args: _Task, profile: bool = False,
         step, block = store_interceptors(_worker_store(store_path),
                                          records)
         ctx = ctx.with_interceptors(step=step, block=block)
-    if profile:
-        with ctx.metrics.timed("point"):
+    with use_kernel(kernel):
+        if profile:
+            with ctx.metrics.timed("point"):
+                delay = analyzer.run(net, ctx).delay_of(CONNECTION0)
+        else:
             delay = analyzer.run(net, ctx).delay_of(CONNECTION0)
+    phases = None
+    if profile:
         phases = {k: round(float(v), 9)
                   for k, v in sorted(ctx.metrics.as_dict().items())}
-        point = SweepPoint(analyzer_name, n_hops, load, sigma, delay,
-                           elapsed_s=time.perf_counter() - start,
-                           phases=phases, kernel=kernel)
-    else:
-        delay = analyzer.run(net, ctx).delay_of(CONNECTION0)
-        point = SweepPoint(analyzer_name, n_hops, load, sigma, delay,
-                           elapsed_s=time.perf_counter() - start,
-                           kernel=kernel)
+    point = SweepPoint(analyzer_name, n_hops, load, sigma, delay,
+                       elapsed_s=time.perf_counter() - start,
+                       phases=phases, kernel=kernel)
     if store_path is not None:
         return point, list(records.values())
     return point
@@ -216,26 +213,17 @@ def _point_key(point: SweepPoint) -> _Task:
     return (point.analyzer, point.n_hops, point.load, point.sigma)
 
 
-def _load_checkpoint(path: Path, kernel: str) -> dict[_Task, SweepPoint]:
-    """Successfully completed points from a checkpoint file.
+def _read_checkpoint(path: Path) -> dict[_Task, tuple[SweepPoint, str]]:
+    """The latest ``(point, line)`` per task in a checkpoint file.
 
     Records are replayed in file order with last-write-wins per task: a
     killed run can leave the same point recorded more than once (e.g.
     success from one attempt, then an error from a re-queued attempt
-    after a resume), and only the *latest* record counts.  Failed
-    (error) entries are not returned: resume re-runs them — including
-    when the error superseded an earlier success.  Corrupt lines (a
-    crash mid-write) are skipped.
-
-    *kernel* is the curve kernel the resuming sweep will run under.  A
-    successful row recorded under a *different* kernel is treated like
-    a failure and re-run: its bound came from different arithmetic and
-    must not be mixed into this sweep's results.  Rows from checkpoints
-    that predate kernel recording carry ``kernel == ""`` and are also
-    re-run — there is no way to know what produced them.
+    after a resume), and only the *latest* record counts.  Corrupt
+    lines (a crash mid-write) are skipped.
     """
-    done: dict[_Task, SweepPoint] = {}
-    for line in path.read_text().splitlines():
+    latest: dict[_Task, tuple[SweepPoint, str]] = {}
+    for line in path.read_text(encoding="utf-8").splitlines():
         line = line.strip()
         if not line:
             continue
@@ -243,11 +231,30 @@ def _load_checkpoint(path: Path, kernel: str) -> dict[_Task, SweepPoint]:
             point = _record_to_point(json.loads(line))
         except (ValueError, KeyError, TypeError):
             continue
-        if point.ok and point.kernel == kernel:
-            done[_point_key(point)] = point
-        else:
-            done.pop(_point_key(point), None)
-    return done
+        latest[_point_key(point)] = (point, line)
+    return latest
+
+
+def _completed(latest: Mapping[_Task, tuple[SweepPoint, str]],
+               kernel: str) -> dict[_Task, SweepPoint]:
+    """The points resume may keep: those whose latest row is ok.
+
+    Failed (error) rows are not kept: resume re-runs them — including
+    when the error superseded an earlier success.  *kernel* is the
+    curve kernel the resuming sweep runs under.  A successful row
+    recorded under a *different* kernel is treated like a failure and
+    re-run: its bound came from different arithmetic and must not be
+    mixed into this sweep's results.  Rows from checkpoints that
+    predate kernel recording carry ``kernel == ""`` and are also re-run
+    — there is no way to know what produced them.
+    """
+    return {task: point for task, (point, _) in latest.items()
+            if point.ok and point.kernel == kernel}
+
+
+def _load_checkpoint(path: Path, kernel: str) -> dict[_Task, SweepPoint]:
+    """Points a resume under *kernel* keeps from the file at *path*."""
+    return _completed(_read_checkpoint(path), kernel)
 
 
 class _Checkpointer:
@@ -273,37 +280,30 @@ class _Checkpointer:
 
     def __init__(self, path: Path | None, resume: bool) -> None:
         self._path: Path | None = path
-        self._latest: dict[_Task, str] = {}
+        #: latest ``(point, line)`` per task, as read on resume
+        self.latest: dict[_Task, tuple[SweepPoint, str]] = {}
         if path is None:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
         if resume and path.exists():
-            for line in path.read_text(encoding="utf-8").splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    point = _record_to_point(json.loads(line))
-                except (ValueError, KeyError, TypeError):
-                    continue
-                self._latest[_point_key(point)] = line
+            self.latest = _read_checkpoint(path)
         self._replace()
 
     def _replace(self) -> None:
         assert self._path is not None
-        content = "".join(line + "\n" for line in self._latest.values())
+        content = "".join(line + "\n" for _, line in self.latest.values())
         atomic_write_text(self._path, content)
 
     def write(self, point: SweepPoint) -> None:
         if self._path is None:
             return
-        self._latest[_point_key(point)] = json.dumps(
-            _point_to_record(point))
+        self.latest[_point_key(point)] = (
+            point, json.dumps(_point_to_record(point)))
         self._replace()
 
     def close(self) -> None:
         self._path = None
-        self._latest = {}
+        self.latest = {}
 
 
 # ----------------------------------------------------------------------
@@ -311,14 +311,15 @@ class _Checkpointer:
 # ----------------------------------------------------------------------
 
 
-def _failure_point(task: _Task, error: str, attempts: int) -> SweepPoint:
+def _failure_point(task: _Task, error: str, attempts: int,
+                   kernel: str) -> SweepPoint:
     a, n, u, s = task
     return SweepPoint(a, n, u, s, math.nan, error=error,
-                      attempts=attempts, kernel=current_kernel())
+                      attempts=attempts, kernel=kernel)
 
 
-def _run_serial(pending: list[tuple[_Task, int]], retries: int,
-                backoff: float,
+def _run_serial(pending: list[tuple[_Task, int]], kernel: str,
+                retries: int, backoff: float,
                 record: Callable[[_Task, SweepPoint], None],
                 profile: bool = False,
                 store_path: str | None = None,
@@ -332,12 +333,13 @@ def _run_serial(pending: list[tuple[_Task, int]], retries: int,
             # that already succeeded
             try:
                 point, seeds = _split_result(
-                    _evaluate_one(task, profile, store_path))
+                    _evaluate_one(task, kernel, profile, store_path))
                 point = replace(point, attempts=attempt)
             except Exception as exc:  # noqa: BLE001 - isolation boundary
                 if attempt > retries:
                     record(task, _failure_point(
-                        task, f"{type(exc).__name__}: {exc}", attempt))
+                        task, f"{type(exc).__name__}: {exc}", attempt,
+                        kernel))
                     break
                 time.sleep(backoff * 2 ** (attempt - 1))
                 attempt += 1
@@ -348,8 +350,9 @@ def _run_serial(pending: list[tuple[_Task, int]], retries: int,
             break
 
 
-def _run_parallel(pending: list[tuple[_Task, int]], workers: int,
-                  timeout: float, retries: int, backoff: float,
+def _run_parallel(pending: list[tuple[_Task, int]], kernel: str,
+                  workers: int, timeout: float, retries: int,
+                  backoff: float,
                   record: Callable[[_Task, SweepPoint], None],
                   profile: bool = False,
                   store_path: str | None = None,
@@ -362,7 +365,7 @@ def _run_parallel(pending: list[tuple[_Task, int]], workers: int,
 
         def fail(task: _Task, attempt: int, error: str) -> None:
             if attempt > retries:
-                record(task, _failure_point(task, error, attempt))
+                record(task, _failure_point(task, error, attempt, kernel))
             else:
                 next_round.append((task, attempt + 1))
 
@@ -370,7 +373,8 @@ def _run_parallel(pending: list[tuple[_Task, int]], workers: int,
         try:
             handles = [(task, attempt,
                         pool.apply_async(_evaluate_one,
-                                         (task, profile, store_path)))
+                                         (task, kernel, profile,
+                                          store_path)))
                        for task, attempt in pending]
             poisoned = False
             for task, attempt, handle in handles:
@@ -431,9 +435,9 @@ def evaluate_grid(analyzers: Sequence[str], hops: Sequence[int],
     Parameters
     ----------
     analyzers:
-        Analyzer names (see :data:`repro.cli.ANALYZERS` keys minus
-        "feedback").  Unknown names raise :class:`ValueError` before
-        any work starts.
+        Analyzer names, keys of :data:`repro.analysis.registry.
+        PAPER_ANALYZERS`.  Unknown names raise :class:`ValueError`
+        before any work starts.
     hops, loads:
         Grid axes.
     sigma:
@@ -475,7 +479,9 @@ def evaluate_grid(analyzers: Sequence[str], hops: Sequence[int],
         completion state land in its registry (``sweep.total``,
         ``sweep.done``, ``sweep.errors``, ``sweep.retries``,
         ``sweep.point_s``) and a deadline on *ctx* is checked between
-        points.  Workers run in separate processes and do not see *ctx*.
+        points.  Its curve kernel (else the ambient one) is resolved
+        once here and handed to every point, in-process or in a worker;
+        workers see nothing else of *ctx*.
     profile:
         Evaluate each point under a fresh profiling context and attach
         its counters to :attr:`SweepPoint.phases` (and to checkpoint
@@ -506,12 +512,10 @@ def evaluate_grid(analyzers: Sequence[str], hops: Sequence[int],
                           for a in analyzers for n in hops for u in loads]
     results: dict[_Task, SweepPoint] = {}
     ckpt_path = Path(checkpoint) if checkpoint is not None else None
-    sweep_kernel = current_kernel()
-    if ckpt_path is not None and resume and ckpt_path.exists():
-        cached = _load_checkpoint(ckpt_path, sweep_kernel)
-        results.update((t, cached[t]) for t in tasks if t in cached)
-
+    sweep_kernel = ctx.kernel if ctx.kernel is not None else current_kernel()
     sink = _Checkpointer(ckpt_path, resume)
+    cached = _completed(sink.latest, sweep_kernel)
+    results.update((t, cached[t]) for t in tasks if t in cached)
 
     total = len(tasks)
     done = len(results)
@@ -565,12 +569,12 @@ def evaluate_grid(analyzers: Sequence[str], hops: Sequence[int],
                   profile=profile):
         try:
             if serial:
-                _run_serial(pending, retries, backoff, record, profile,
-                            store_path, collect)
+                _run_serial(pending, sweep_kernel, retries, backoff,
+                            record, profile, store_path, collect)
             else:
                 workers = max_workers or min(len(pending),
                                              os.cpu_count() or 1)
-                _run_parallel(pending, workers,
+                _run_parallel(pending, sweep_kernel, workers,
                               timeout if timeout is not None
                               else DEFAULT_TASK_TIMEOUT,
                               retries, backoff, record, profile,

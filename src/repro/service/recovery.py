@@ -32,7 +32,9 @@ from pathlib import Path
 
 from repro.admission.controller import AdmissionController
 from repro.analysis.base import Analyzer
+from repro.analysis.registry import ANALYZERS
 from repro.context import NULL_CONTEXT, AnalysisContext
+from repro.engine import IncrementalEngine
 from repro.errors import AnalysisError, JournalError, RecoveryError
 from repro.network.serialization import network_from_dict
 from repro.network.topology import Network
@@ -62,19 +64,8 @@ def resolve_analyzer(name: str) -> Analyzer:
         name = name[len("incremental+"):]
     if name == "conservative":
         return ConservativeAnalysis()
-    from repro.analysis.decomposed import DecomposedAnalysis
-    from repro.analysis.feedback import FeedbackAnalysis
-    from repro.analysis.service_curve import ServiceCurveAnalysis
-    from repro.core.integrated import IntegratedAnalysis
-
-    registry = {
-        "decomposed": DecomposedAnalysis,
-        "service_curve": ServiceCurveAnalysis,
-        "integrated": IntegratedAnalysis,
-        "feedback": FeedbackAnalysis,
-    }
     try:
-        return registry[name]()
+        return ANALYZERS[name]()
     except KeyError:
         raise RecoveryError(
             f"journal names unknown analyzer {name!r}") from None
@@ -273,7 +264,6 @@ def verify_recovery(source: str | Path | RecoveredState, *,
         if name not in analyzers:
             resolved = resolve_analyzer(name)
             if store is not None:
-                from repro.engine import IncrementalEngine
                 engine = IncrementalEngine(resolved, store=store)
                 if engine.supports_incremental:
                     resolved = engine

@@ -3,11 +3,11 @@
 :class:`AnalysisStore` persists the incremental engine's per-server /
 per-block results (:mod:`repro.engine`) across **processes**: keys are
 the same blake2b content digests (:mod:`repro.utils.hashing`) the
-in-memory :class:`~repro.engine.cache.ResultCache` uses, so an entry is
-valid for exactly the inputs that produced it — every bit of every
-curve, the discipline, and the curve kernel are part of the key, which
-is why a store hit is guaranteed to replay the cold computation
-bit-identically and why exact and grid results can never alias.
+engine's in-memory cache uses, so an entry is valid for exactly the
+inputs that produced it — every bit of every curve, the discipline,
+and the curve kernel are part of the key, which is why a store hit is
+guaranteed to replay the cold computation bit-identically and why
+exact and grid results can never alias.
 
 Layout (one directory)::
 

@@ -240,8 +240,8 @@ class TestEngineSeeding:
     def test_seed_cache_first_write_wins(self):
         from repro.engine import IncrementalEngine
         net = workload(3)
-        engine = IncrementalEngine(DecomposedAnalysis(), net)
-        engine.query()  # warm
+        engine = IncrementalEngine(DecomposedAnalysis())
+        engine.analyze(net)  # warm
         # seeding a key that exists must not overwrite
         added = engine.seed_cache([(b"nonexistent-key", object(), 0.1)])
         assert added == 1

@@ -78,7 +78,7 @@ def test_traced_run_bit_identical_random_networks(factory):
 def test_engine_under_tracing_bit_identical():
     base = random_feedforward(seed=3, n_servers=6, n_flows=6,
                               max_utilization=0.5)
-    engine = IncrementalEngine(DecomposedAnalysis(), base)
+    engine = IncrementalEngine(DecomposedAnalysis())
     cold = DecomposedAnalysis()
     ctx = AnalysisContext.tracing()
     servers = sorted(base.servers, key=str)
@@ -89,7 +89,7 @@ def test_engine_under_tracing_bit_identical():
                     tuple(servers[k % 2:k % 2 + 3]), deadline=500.0)
         candidate = net.with_flow(flow)
         want = cold.analyze(candidate)
-        got = engine.admit(flow, ctx=ctx)
+        got = engine.analyze(candidate, ctx=ctx)
         assert reports_identical(got, want), \
             describe_report_difference(got, want)
         net = candidate

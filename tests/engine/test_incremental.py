@@ -9,7 +9,6 @@ from repro.curves.token_bucket import TokenBucket
 from repro.engine import (
     DependencyGraph,
     IncrementalEngine,
-    ResultCache,
     affected_cone,
     describe_report_difference,
     reports_identical,
@@ -34,51 +33,38 @@ class TestEngineBasics:
     def test_query_matches_cold(self):
         net = tandem().with_flow(flow("a", [1, 2, 3]))
         cold = DecomposedAnalysis().analyze(net)
-        eng = IncrementalEngine(DecomposedAnalysis(), net)
-        assert reports_identical(eng.query(), cold)
+        eng = IncrementalEngine(DecomposedAnalysis())
+        assert reports_identical(eng.analyze(net), cold)
         assert eng.stats.queries == 1 and eng.stats.misses > 0
 
     def test_repeated_query_is_memoized(self):
         net = tandem().with_flow(flow("a", [1, 2]))
-        eng = IncrementalEngine(DecomposedAnalysis(), net)
-        first = eng.query()
+        eng = IncrementalEngine(DecomposedAnalysis())
+        first = eng.analyze(net)
         misses = eng.stats.misses
-        assert eng.query() is first
+        assert eng.analyze(net) is first
         assert eng.stats.misses == misses  # nothing recomputed
 
     def test_admit_release_roundtrip_hits_cache(self):
         net = tandem().with_flow(flow("a", [1, 2, 3, 4]))
-        eng = IncrementalEngine(DecomposedAnalysis(), net)
-        baseline = eng.query()
-        eng.admit(flow("b", [2, 3]))
-        eng.release("b")
-        back = eng.query()
+        eng = IncrementalEngine(DecomposedAnalysis())
+        baseline = eng.analyze(net)
+        grown = net.with_flow(flow("b", [2, 3]))
+        eng.analyze(grown)
+        back = eng.analyze(grown.without_flow("b"))
         assert reports_identical(back, baseline)
         assert eng.stats.hits > 0  # release returned to cached states
 
-    def test_admit_is_transactional_on_topology_error(self):
-        net = tandem()
-        eng = IncrementalEngine(DecomposedAnalysis(), net)
-        with pytest.raises(Exception):
-            eng.admit(flow("bad", [1, 99]))  # unknown server
-        assert eng.network is net
-
     def test_admit_batch_single_sweep(self):
         net = tandem().with_flow(flow("a", [1, 2]))
-        eng = IncrementalEngine(DecomposedAnalysis(), net)
-        eng.query()
+        eng = IncrementalEngine(DecomposedAnalysis())
+        eng.analyze(net)
         queries = eng.stats.queries
-        report = eng.admit_batch([flow("b", [2, 3]), flow("c", [3, 4])])
+        both = net.with_flow(flow("b", [2, 3])).with_flow(flow("c", [3, 4]))
+        report = eng.analyze(both)
         assert eng.stats.queries == queries + 1
         assert set(report.delays) == {"a", "b", "c"}
-        assert len(eng.network.flows) == 3
-
-    def test_stateless_engine_rejects_admit(self):
-        eng = IncrementalEngine(DecomposedAnalysis())
-        with pytest.raises(EngineError):
-            eng.query()
-        with pytest.raises(EngineError):
-            eng.admit(flow("a", [1]))
+        assert reports_identical(report, DecomposedAnalysis().analyze(both))
 
     def test_engine_error_is_analysis_error(self):
         assert issubclass(EngineError, AnalysisError)
@@ -92,47 +78,37 @@ class TestEngineBasics:
 class TestFallback:
     def test_unsupported_analyzer_falls_back_cold(self):
         net = tandem().with_flow(flow("a", [1, 2]))
-        eng = IncrementalEngine(ServiceCurveAnalysis(), net)
+        eng = IncrementalEngine(ServiceCurveAnalysis())
         assert not eng.supports_incremental
         cold = ServiceCurveAnalysis().analyze(net)
-        assert reports_identical(eng.query(), cold)
+        assert reports_identical(eng.analyze(net), cold)
         assert eng.stats.fallbacks == 1
         assert eng.stats.misses == 0  # nothing went through the cache
 
     def test_config_change_invalidates_fast_reuse(self):
         net = tandem().with_flow(flow("a", [1, 2]))
         analyzer = DecomposedAnalysis()
-        eng = IncrementalEngine(analyzer, net)
-        eng.query()
+        eng = IncrementalEngine(analyzer)
+        eng.analyze(net)
         analyzer.capped_propagation = True
-        capped = eng.query()
+        capped = eng.analyze(net)
         cold = DecomposedAnalysis(capped_propagation=True).analyze(net)
         assert reports_identical(capped, cold)
-
-    def test_self_check_mode_runs_clean(self):
-        net = random_feedforward(seed=5, n_servers=6, n_flows=10)
-        eng = IncrementalEngine(DecomposedAnalysis(), net,
-                                self_check=True)
-        eng.query()
-        name = sorted(net.flows)[0]
-        eng.release(name)
-        eng.admit(net.flows[name])
-        assert eng.stats.self_checks == 3
 
 
 class TestIntegratedEngine:
     def test_integrated_query_matches_cold(self):
         net = random_feedforward(seed=9, n_servers=6, n_flows=8)
         cold = IntegratedAnalysis().analyze(net)
-        eng = IncrementalEngine(IntegratedAnalysis(), net)
-        assert reports_identical(eng.query(), cold)
+        eng = IncrementalEngine(IntegratedAnalysis())
+        assert reports_identical(eng.analyze(net), cold)
 
     def test_integrated_release_matches_cold(self):
         net = random_feedforward(seed=9, n_servers=6, n_flows=8)
-        eng = IncrementalEngine(IntegratedAnalysis(), net)
-        eng.query()
+        eng = IncrementalEngine(IntegratedAnalysis())
+        eng.analyze(net)
         name = sorted(net.flows)[2]
-        got = eng.release(name)
+        got = eng.analyze(net.without_flow(name))
         cold = IntegratedAnalysis().analyze(net.without_flow(name))
         assert reports_identical(got, cold)
 
@@ -161,21 +137,6 @@ class TestDependencyGraph:
         dg = DependencyGraph(net)
         cone = affected_cone(dg, dg, [flow("x", [3])])
         assert cone == {3, 4}  # 1 and 2 stay clean
-
-
-class TestResultCache:
-    def test_lru_eviction(self):
-        cache = ResultCache(max_entries=2)
-        cache.put(b"a", 1, 0.1)
-        cache.put(b"b", 2, 0.1)
-        assert cache.get(b"a").value == 1  # refresh 'a'
-        cache.put(b"c", 3, 0.1)
-        assert b"b" not in cache and b"a" in cache
-        assert cache.evictions == 1
-
-    def test_rejects_bad_capacity(self):
-        with pytest.raises(ValueError):
-            ResultCache(max_entries=0)
 
 
 class TestReportComparison:
@@ -231,16 +192,14 @@ class TestKernelFingerprint:
     queries must never replay results computed under the other one.
     """
 
-    def _engine(self):
-        net = tandem().with_flow(flow("a", [1, 2, 3, 4], rho=2.0))
-        return IncrementalEngine(DecomposedAnalysis(), net)
+    NET = tandem().with_flow(flow("a", [1, 2, 3, 4], rho=2.0))
 
     def test_ctx_kernel_separates_memo_entries(self):
         from repro.context import AnalysisContext
 
-        eng = self._engine()
-        exact = eng.query(ctx=AnalysisContext(kernel="exact"))
-        grid = eng.query(ctx=AnalysisContext(kernel="grid"))
+        eng = IncrementalEngine(DecomposedAnalysis())
+        exact = eng.analyze(self.NET, ctx=AnalysisContext(kernel="exact"))
+        grid = eng.analyze(self.NET, ctx=AnalysisContext(kernel="grid"))
         # the grid backend pads its bounds: strictly looser somewhere
         assert all(grid.delay_of(n) >= exact.delay_of(n) - 1e-12
                    for n in exact.delays)
@@ -248,20 +207,21 @@ class TestKernelFingerprint:
                    for n in exact.delays)
         # switching back must reproduce the exact run bit-identically,
         # not replay the grid one
-        again = eng.query(ctx=AnalysisContext(kernel="exact"))
+        again = eng.analyze(self.NET, ctx=AnalysisContext(kernel="exact"))
         assert reports_identical(again, exact)
 
     def test_ambient_kernel_is_fingerprinted(self):
         from repro.curves.kernels import use_kernel
 
-        eng = self._engine()
-        exact = eng.query()
+        eng = IncrementalEngine(DecomposedAnalysis())
+        exact = eng.analyze(self.NET)
         with use_kernel("grid"):
-            grid = eng.query()
+            grid = eng.analyze(self.NET)
         assert not reports_identical(grid, exact)
         # ambient and explicit selection share one memo identity
         from repro.context import AnalysisContext
 
         with use_kernel("grid"):
-            again = eng.query(ctx=AnalysisContext(kernel="grid"))
+            again = eng.analyze(self.NET,
+                                ctx=AnalysisContext(kernel="grid"))
         assert reports_identical(again, grid)

@@ -35,8 +35,8 @@ def _newcomer(net, component_servers):
 @pytest.mark.parametrize("seed", [0, 3])
 def test_decomposed_fast_reuse_builds_no_server_input(seed, monkeypatch):
     net = random_multicomponent(seed, 8, 4, 32)
-    engine = IncrementalEngine(DecomposedAnalysis(), net)
-    engine.query()
+    engine = IncrementalEngine(DecomposedAnalysis())
+    engine.analyze(net)
 
     built: list = []
     original = propagation.build_server_input
@@ -47,7 +47,8 @@ def test_decomposed_fast_reuse_builds_no_server_input(seed, monkeypatch):
 
     monkeypatch.setattr(propagation, "build_server_input", counting)
     ctx = AnalysisContext.tracing()
-    report = engine.admit(_newcomer(net, {0, 1, 2, 3}), ctx=ctx)
+    grown = net.with_flow(_newcomer(net, {0, 1, 2, 3}))
+    report = engine.analyze(grown, ctx=ctx)
 
     reused = {sp.attrs["server"] for sp in _spans(ctx.tracer.roots)
               if sp.name == "server_step"
@@ -60,13 +61,13 @@ def test_decomposed_fast_reuse_builds_no_server_input(seed, monkeypatch):
     assert set(built) <= {0, 1, 2, 3}
     monkeypatch.undo()
     assert reports_identical(report,
-                             DecomposedAnalysis().analyze(engine.network))
+                             DecomposedAnalysis().analyze(grown))
 
 
 def test_integrated_fast_reuse_builds_no_block_input(monkeypatch):
     net = random_multicomponent(1, 3, 2, 3)
-    engine = IncrementalEngine(IntegratedAnalysis(), net)
-    engine.query()
+    engine = IncrementalEngine(IntegratedAnalysis())
+    engine.analyze(net)
 
     built: list = []
     original = IntegratedAnalysis.build_block_input
@@ -77,7 +78,8 @@ def test_integrated_fast_reuse_builds_no_block_input(monkeypatch):
 
     monkeypatch.setattr(IntegratedAnalysis, "build_block_input", counting)
     ctx = AnalysisContext.tracing()
-    report = engine.admit(_newcomer(net, {0, 1}), ctx=ctx)
+    grown = net.with_flow(_newcomer(net, {0, 1}))
+    report = engine.analyze(grown, ctx=ctx)
 
     reused = {sp.attrs["servers"] for sp in _spans(ctx.tracer.roots)
               if sp.name == "block"
@@ -89,4 +91,4 @@ def test_integrated_fast_reuse_builds_no_block_input(monkeypatch):
     assert all(set(block) <= {0, 1} for block in built)
     monkeypatch.undo()
     assert reports_identical(report,
-                             IntegratedAnalysis().analyze(engine.network))
+                             IntegratedAnalysis().analyze(grown))

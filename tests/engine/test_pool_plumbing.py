@@ -142,8 +142,8 @@ class TestWriteSeeds:
 
     def test_engine_takes_the_records(self):
         net = two_component_net()
-        engine = IncrementalEngine(DecomposedAnalysis(), net)
+        engine = IncrementalEngine(DecomposedAnalysis())
         write_seeds(fresh_records(net), metered(),
                     store=_RaisingStore(OSError("unused")), engine=engine)
-        engine.query()
+        engine.analyze(net)
         assert engine.stats.misses == 0

@@ -347,6 +347,47 @@ class TestKernelRecording:
         assert resumed[0].ok and resumed[0].kernel != ""
 
 
+class TestSweepKernelSelection:
+    """The kernel a sweep is asked for reaches every point: through
+    ``ctx.kernel``, and into pool workers that were spawned rather
+    than forked (and so never saw the driver's ambient selection)."""
+
+    @staticmethod
+    def _cold(load, kernel):
+        from repro.analysis.decomposed import DecomposedAnalysis
+        from repro.context import AnalysisContext
+        from repro.network.tandem import CONNECTION0, build_tandem
+
+        report = DecomposedAnalysis().analyze(
+            build_tandem(4, load, 1.0), ctx=AnalysisContext(kernel=kernel))
+        return report.delay_of(CONNECTION0)
+
+    def test_ctx_kernel_selects_the_kernel(self):
+        from repro.context import AnalysisContext
+
+        pts = evaluate_grid(["decomposed"], [4], [0.5], parallel=False,
+                            ctx=AnalysisContext(kernel="grid"))
+        assert pts[0].kernel == "grid"
+        assert pts[0].delay.hex() == self._cold(0.5, "grid").hex()
+        # the kernels disagree here, so honouring ctx.kernel is visible
+        assert pts[0].delay != self._cold(0.5, "exact")
+
+    def test_spawned_workers_use_the_sweep_kernel(self, monkeypatch):
+        import multiprocessing
+
+        from repro.curves.kernels import use_kernel
+        from repro.eval import parallel as mod
+
+        monkeypatch.setattr(mod.multiprocessing, "Pool",
+                            multiprocessing.get_context("spawn").Pool)
+        with use_kernel("grid"):
+            pts = evaluate_grid(["decomposed"], [4], [0.4, 0.5],
+                                max_workers=2, timeout=120.0)
+        assert [p.kernel for p in pts] == ["grid", "grid"]
+        assert [p.delay.hex() for p in pts] == [
+            self._cold(u, "grid").hex() for u in (0.4, 0.5)]
+
+
 class TestExactlyOneRowPerPoint:
     """Satellite: the timeout/retry/poison machinery must leave exactly
     one checkpoint row per grid point, and a failure *of recording

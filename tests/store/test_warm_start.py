@@ -36,15 +36,13 @@ class TestEngineWarmStart:
 
         # process 1: cold engine populates the store
         with AnalysisStore(tmp_path / "s") as store:
-            eng = IncrementalEngine(DecomposedAnalysis(), net,
-                                    store=store)
-            first = eng.query()
+            eng = IncrementalEngine(DecomposedAnalysis(), store=store)
+            first = eng.analyze(net)
 
         # process 2 (simulated restart): fresh engine, warm store
         with AnalysisStore(tmp_path / "s") as store:
-            eng = IncrementalEngine(DecomposedAnalysis(), net,
-                                    store=store)
-            warm = eng.query()
+            eng = IncrementalEngine(DecomposedAnalysis(), store=store)
+            warm = eng.analyze(net)
             assert eng.stats.store_hits > 0
             assert eng.stats.misses == 0  # nothing recomputed
         assert reports_identical(first, cold)
@@ -55,12 +53,11 @@ class TestEngineWarmStart:
         net = build_tandem(4, 0.7, 1.0)
         cold = IntegratedAnalysis().analyze(net)
         with AnalysisStore(tmp_path / "s") as store:
-            IncrementalEngine(IntegratedAnalysis(), net,
-                              store=store).query()
+            IncrementalEngine(IntegratedAnalysis(),
+                              store=store).analyze(net)
         with AnalysisStore(tmp_path / "s") as store:
-            eng = IncrementalEngine(IntegratedAnalysis(), net,
-                                    store=store)
-            warm = eng.query()
+            eng = IncrementalEngine(IntegratedAnalysis(), store=store)
+            warm = eng.analyze(net)
             assert eng.stats.store_hits > 0
         assert bounds_hex(warm, net) == bounds_hex(cold, net)
 
@@ -69,15 +66,13 @@ class TestEngineWarmStart:
         extra = Flow("extra", TokenBucket(1.0, 0.2), (1, 2, 3),
                      deadline=60.0)
         with AnalysisStore(tmp_path / "s") as store:
-            eng = IncrementalEngine(DecomposedAnalysis(), net,
-                                    store=store)
-            eng.query()
-            first = eng.admit(extra)
+            eng = IncrementalEngine(DecomposedAnalysis(), store=store)
+            eng.analyze(net)
+            first = eng.analyze(net.with_flow(extra))
         with AnalysisStore(tmp_path / "s") as store:
-            eng = IncrementalEngine(DecomposedAnalysis(), net,
-                                    store=store)
-            eng.query()
-            again = eng.admit(extra)
+            eng = IncrementalEngine(DecomposedAnalysis(), store=store)
+            eng.analyze(net)
+            again = eng.analyze(net.with_flow(extra))
             assert eng.stats.misses == 0
         assert reports_identical(first, again)
 
@@ -85,9 +80,8 @@ class TestEngineWarmStart:
         net = build_tandem(3, 0.5, 1.0)
         AnalysisStore(tmp_path / "s").close()
         with AnalysisStore(tmp_path / "s", read_only=True) as store:
-            eng = IncrementalEngine(DecomposedAnalysis(), net,
-                                    store=store)
-            warm = eng.query()
+            eng = IncrementalEngine(DecomposedAnalysis(), store=store)
+            warm = eng.analyze(net)
             assert store.stats.writes == 0
         assert reports_identical(warm, DecomposedAnalysis().analyze(net))
 
@@ -95,8 +89,8 @@ class TestEngineWarmStart:
         net = build_tandem(4, 0.6, 1.0)
         cold = DecomposedAnalysis().analyze(net)
         with AnalysisStore(tmp_path / "s") as store:
-            IncrementalEngine(DecomposedAnalysis(), net,
-                              store=store).query()
+            IncrementalEngine(DecomposedAnalysis(),
+                              store=store).analyze(net)
         # flip a byte in every segment payload region
         for seg in (tmp_path / "s").glob("seg-*.dat"):
             blob = bytearray(seg.read_bytes())
@@ -104,9 +98,8 @@ class TestEngineWarmStart:
                 blob[i] ^= 0xFF
             seg.write_bytes(bytes(blob))
         with AnalysisStore(tmp_path / "s") as store:
-            eng = IncrementalEngine(DecomposedAnalysis(), net,
-                                    store=store)
-            warm = eng.query()  # never crashes, never a wrong bound
+            eng = IncrementalEngine(DecomposedAnalysis(), store=store)
+            warm = eng.analyze(net)  # never crashes, never a wrong bound
         assert bounds_hex(warm, net) == bounds_hex(cold, net)
 
 
@@ -123,15 +116,13 @@ class TestKernelTagging:
                 != cold_grid.delay_of(CONNECTION0))
 
         with AnalysisStore(tmp_path / "s") as store:
-            eng = IncrementalEngine(DecomposedAnalysis(), net,
-                                    store=store)
-            eng.query(ctx=AnalysisContext(kernel="exact"))
+            eng = IncrementalEngine(DecomposedAnalysis(), store=store)
+            eng.analyze(net, ctx=exact_ctx)
         with AnalysisStore(tmp_path / "s") as store:
-            eng = IncrementalEngine(DecomposedAnalysis(), net,
-                                    store=store)
-            warm_grid = eng.query(ctx=AnalysisContext(kernel="grid"))
+            eng = IncrementalEngine(DecomposedAnalysis(), store=store)
+            warm_grid = eng.analyze(net, ctx=grid_ctx)
             assert eng.stats.store_hits == 0  # exact entries don't alias
-            warm_exact = eng.query(ctx=AnalysisContext(kernel="exact"))
+            warm_exact = eng.analyze(net, ctx=exact_ctx)
         assert (warm_grid.delay_of(CONNECTION0).hex()
                 == cold_grid.delay_of(CONNECTION0).hex())
         assert (warm_exact.delay_of(CONNECTION0).hex()
