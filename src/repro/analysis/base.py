@@ -62,7 +62,11 @@ class DelayReport:
     algorithm:
         Human-readable algorithm name ("decomposed", …).
     delays:
-        Per-flow :class:`FlowDelay`.
+        Per-flow :class:`FlowDelay`.  Analyzers list flows in name
+        order, but a report the incremental engine derives from a
+        previous one lists the flows added since then last: compare
+        reports as mappings
+        (:func:`repro.engine.reports_identical`), never by order.
     meta:
         Algorithm-specific diagnostics (grid resolution, theta values,
         per-server local bounds, …).
@@ -77,10 +81,12 @@ class DelayReport:
         return self.delays[flow_name].total
 
     def worst(self) -> FlowDelay:
-        """The flow with the largest end-to-end bound."""
+        """The flow with the largest end-to-end bound (the first by
+        name among equals)."""
         if not self.delays:
             raise ValueError("report contains no flows")
-        return max(self.delays.values(), key=lambda fd: fd.total)
+        return max((self.delays[name] for name in sorted(self.delays)),
+                   key=lambda fd: fd.total)
 
     def all_finite(self) -> bool:
         """True when every flow received a finite bound."""

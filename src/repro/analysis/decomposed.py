@@ -10,9 +10,12 @@ integrated approach is measured against.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.analysis.base import Analyzer, DelayReport, FlowDelay
 from repro.analysis.propagation import propagate
 from repro.context import NULL_CONTEXT, AnalysisContext
+from repro.network.flow import Flow
 from repro.network.topology import Network
 
 __all__ = ["DecomposedAnalysis"]
@@ -42,14 +45,51 @@ class DecomposedAnalysis(Analyzer):
         """Analyze *network* under *ctx* (deadline checks and spans at
         every server step; the incremental engine installs its
         memoizing step interceptor on a derived context — see
-        :func:`repro.analysis.propagation.propagate`)."""
+        :func:`repro.analysis.propagation.propagate`).
+
+        When the sweep replayed a previous one
+        (:attr:`~repro.analysis.propagation.PropagationResult.replay`),
+        only the flows that visit a re-stepped server get a new
+        :class:`FlowDelay`; every other flow keeps the previous
+        report's, which the same local bounds produced.  Entries new
+        since the previous report then come last in ``delays`` and in
+        the per-server ``meta`` maps, instead of in name and sweep
+        order; the values are those of a cold analysis.
+        """
         with ctx.analysis_scope(self.name):
             prop = propagate(network, capped=self.capped_propagation,
                              ctx=ctx)
-        delays = {}
-        for f in network.iter_flows():
+        local = prop.local
+        replay = prop.replay
+        if replay is None:
+            delays: dict[str, FlowDelay] = {}
+            local_delay: dict = {}
+            busy_period: dict = {}
+            servers: Iterable = local
+            flows: Iterable[Flow] = network.iter_flows()
+        else:
+            # Start from the previous report and redo only what the
+            # re-stepped servers reach.
+            previous = replay.report
+            delays = previous.delays.copy()
+            local_delay = previous.meta["local_delay"].copy()
+            busy_period = previous.meta["busy_period"].copy()
+            for name in replay.dropped:
+                del delays[name]
+            servers = replay.dirty
+            flows = {f.name: f for sid in servers
+                     for f in network.flows_at(sid)}.values()
+        for sid in servers:
+            la = local.get(sid)
+            if la is None:  # no flow visits it any more
+                local_delay.pop(sid, None)
+                busy_period.pop(sid, None)
+            else:
+                local_delay[sid] = la.max_delay
+                busy_period[sid] = la.busy_period
+        for f in flows:
             parts = tuple(
-                (sid, prop.local[sid].delay_by_flow[f.name])
+                (sid, local[sid].delay_by_flow[f.name])
                 for sid in f.path
             )
             delays[f.name] = FlowDelay(
@@ -59,11 +99,7 @@ class DecomposedAnalysis(Analyzer):
             )
         meta = {
             "capped_propagation": self.capped_propagation,
-            "local_delay": {
-                sid: la.max_delay for sid, la in prop.local.items()
-            },
-            "busy_period": {
-                sid: la.busy_period for sid, la in prop.local.items()
-            },
+            "local_delay": local_delay,
+            "busy_period": busy_period,
         }
         return DelayReport(algorithm=self.name, delays=delays, meta=meta)

@@ -19,12 +19,23 @@ step interceptor is exactly that memoizing wrapper (and which also
 carries the cooperative deadline and per-step tracing).  The step's
 input is handed over as a thunk, so a replayed step costs no
 :class:`ServerInput` construction.
+
+Input curves are never copied forward hop by hop: a flow's curve at a
+server is resolved when a step's input is built, from the source
+constraint at its first hop or else from its previous hop's
+:attr:`ServerStep.out_curves`.  An interceptor may also offer
+:func:`propagate` the previous sweep as a :class:`SweepReplay`; the
+sweep then takes every server outside the replay's dirty set from the
+previous sweep without visiting it: a replayed server costs no
+per-flow work — no source curve, no output-curve bookkeeping, not even
+a loop iteration — so a sweep after a small change costs the changed
+cone plus copying the previous sweep's per-server maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Mapping
+from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping
 
 from repro.context import NULL_CONTEXT, AnalysisContext
 from repro.curves.kernels import current_kernel, use_kernel
@@ -40,11 +51,15 @@ from repro.servers.fifo import (
 from repro.servers.guaranteed_rate import gr_local_analysis
 from repro.servers.static_priority import sp_local_analysis
 
+if TYPE_CHECKING:
+    from repro.analysis.base import DelayReport
+
 __all__ = [
     "PropagationResult",
     "FlowAtServer",
     "ServerInput",
     "ServerStep",
+    "SweepReplay",
     "server_step",
     "propagate",
     "analyze_server",
@@ -173,7 +188,7 @@ def build_server_input(network: Network, sid: ServerId,
         FlowAtServer(
             name=f.name,
             curve=curve_at[(f.name, sid)],
-            has_next=f.next_hop(sid) is not None,
+            has_next=f.path[-1] != sid,
             priority=f.priority,
             rho=f.bucket.rho,
         )
@@ -182,6 +197,88 @@ def build_server_input(network: Network, sid: ServerId,
                        discipline=spec.discipline,
                        capped=capped, flows=flows,
                        kernel=current_kernel())
+
+
+@dataclass(frozen=True)
+class SweepReplay:
+    """A previous sweep, offered for replay by a step interceptor.
+
+    The incremental engine's step interceptor carries one as its
+    ``replay`` attribute when it knows which servers a change can
+    reach.  :func:`propagate` then keeps the previous step of every
+    server not in *dirty* without visiting it, and steps only the dirty
+    ones; :class:`~repro.analysis.decomposed.DecomposedAnalysis` keeps
+    *report*'s result for every flow that visits no dirty server.
+
+    Attributes
+    ----------
+    steps, local:
+        The previous sweep's step, and its local analysis, of every
+        server it visited.
+    dirty:
+        Servers whose step may differ from the previous sweep's.
+    report:
+        The report the previous sweep produced.
+    dropped:
+        Names of the flows in *report* the new network no longer has.
+    """
+
+    steps: dict[ServerId, ServerStep]
+    local: dict[ServerId, LocalAnalysis]
+    dirty: frozenset[ServerId]
+    report: "DelayReport"
+    dropped: tuple[str, ...]
+
+
+class _InputCurves(Mapping):
+    """Each flow's constraint curve at each server on its path.
+
+    Keyed by ``(flow name, server id)``.  A curve is resolved on first
+    use and kept: the source constraint at the flow's first hop, else
+    the output curve its previous hop's step produced.  *steps* is the
+    sweep's step record, filled as the sweep goes, so a key can be read
+    once the previous hop has been stepped.
+    """
+
+    def __init__(self, network: Network,
+                 steps: Mapping[ServerId, ServerStep]) -> None:
+        self._network = network
+        self._flows = network.flows
+        self._steps = steps
+        self._outs: dict[ServerId, dict[str, PiecewiseLinearCurve]] = {}
+        self._resolved: dict[tuple[str, ServerId],
+                             PiecewiseLinearCurve] = {}
+
+    def __getitem__(self, key: tuple[str, ServerId]) -> PiecewiseLinearCurve:
+        curve = self._resolved.get(key)
+        if curve is not None:
+            return curve
+        name, sid = key
+        f = self._flows.get(name)
+        if f is None or sid not in f.path:
+            raise KeyError(key)
+        path = f.path
+        if path[0] == sid:
+            curve = f.bucket.constraint_curve()
+        else:
+            prev = path[path.index(sid) - 1]
+            outs = self._outs.get(prev)
+            if outs is None:
+                step = self._steps.get(prev)
+                if step is None:
+                    raise KeyError(key)
+                outs = self._outs[prev] = dict(step.out_curves)
+            curve = outs[name]
+        self._resolved[key] = curve
+        return curve
+
+    def __iter__(self) -> Iterator[tuple[str, ServerId]]:
+        for f in self._network.iter_flows():
+            for sid in f.path:
+                yield (f.name, sid)
+
+    def __len__(self) -> int:
+        return sum(len(f.path) for f in self._network.iter_flows())
 
 
 @dataclass(frozen=True)
@@ -197,11 +294,15 @@ class PropagationResult:
         keyed by ``(flow_name, server_id)``.
     capped:
         Whether line-rate capping was applied to output curves.
+    replay:
+        The :class:`SweepReplay` the sweep reused, or None when every
+        server was stepped.
     """
 
     local: Mapping[ServerId, LocalAnalysis]
     curve_at: Mapping[tuple[str, ServerId], PiecewiseLinearCurve]
     capped: bool
+    replay: SweepReplay | None = None
 
     def flow_delay_at(self, flow_name: str, server_id: ServerId) -> float:
         """Local delay bound of one flow at one server."""
@@ -246,24 +347,35 @@ def propagate(network: Network, capped: bool = False,
         boundary, each step gets a span, and an installed step
         interceptor (the incremental engine's memoizer) transparently
         replaces the computation — building no input at all for a
-        server whose previous result it replays.
+        server whose previous result it replays.  When the interceptor
+        offers a :class:`SweepReplay`, only its dirty servers are
+        stepped, in topological order; every other server keeps its
+        previous step and still counts as a server step.
     """
     network.check_stability()
-
-    curve_at: dict[tuple[str, ServerId], PiecewiseLinearCurve] = {}
-    for f in network.iter_flows():
-        curve_at[(f.name, f.path[0])] = f.bucket.constraint_curve()
-
-    local: dict[ServerId, LocalAnalysis] = {}
-    for sid in network.topological_servers():
-        if not network.flows_at(sid):
-            continue
-        res = ctx.run_server_step(
+    replay: SweepReplay | None = getattr(ctx.step_interceptor, "replay",
+                                         None)
+    active = network.active_servers()
+    if replay is None:
+        steps: dict[ServerId, ServerStep] = {}
+        local: dict[ServerId, LocalAnalysis] = {}
+        order: Iterable[ServerId] = active
+    else:
+        # every server outside the dirty set keeps its previous step
+        steps = replay.steps.copy()
+        local = replay.local.copy()
+        for sid in replay.dirty:
+            steps.pop(sid, None)
+            local.pop(sid, None)
+        ctx.count("analysis.server_steps", len(steps))
+        order = sorted((sid for sid in replay.dirty if sid in active),
+                       key=active.__getitem__)
+    curve_at = _InputCurves(network, steps)
+    for sid in order:
+        res = steps[sid] = ctx.run_server_step(
             sid, lambda: build_server_input(network, sid, curve_at, capped),
             server_step)
         local[sid] = res.local
-        for name, out in res.out_curves:
-            nxt = network.flow(name).next_hop(sid)
-            curve_at[(name, nxt)] = out
 
-    return PropagationResult(local=local, curve_at=curve_at, capped=capped)
+    return PropagationResult(local=local, curve_at=curve_at, capped=capped,
+                             replay=replay)

@@ -46,7 +46,11 @@ _NULL_CM = nullcontext()
 #: returns the unit's ``ServerInput`` / ``BlockInput``.  The input is
 #: built on demand: an interceptor that replays a remembered result
 #: never calls ``build``.  An interceptor MUST be extensionally equal
-#: to the pure function applied to ``build()``.
+#: to the pure function applied to ``build()``.  A step interceptor may
+#: also carry a ``replay`` attribute
+#: (:class:`repro.analysis.propagation.SweepReplay`): the previous
+#: sweep, whose steps the sweep then reuses outside its dirty servers
+#: without calling the interceptor.
 StepInterceptor = Callable[[object, Callable[[], object]], object]
 BlockInterceptor = Callable[[str, tuple, Callable[[], object]], object]
 

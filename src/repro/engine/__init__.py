@@ -8,8 +8,8 @@ results reusable across such requests: a server whose incident flow
 set and input curves did not change produces bit-identical local
 results.  :class:`IncrementalEngine` exploits that with
 
-* a dependency graph mapping each server to the flows traversing it
-  (:mod:`repro.engine.depgraph`),
+* dependency tracking over the network's own flow and server-graph
+  indexes (:mod:`repro.engine.depgraph`),
 * a content-addressed cache of per-server / per-block intermediate
   results (:mod:`repro.engine.incremental`), and
 * precise invalidation: a changed flow dirties only the servers on its
@@ -20,7 +20,7 @@ DelayReport` objects are **bit-identical** to a cold full analysis —
 enforced by the differential test harness in ``tests/engine/``.
 """
 
-from repro.engine.depgraph import DependencyGraph, affected_cone
+from repro.engine.depgraph import affected_cone
 from repro.engine.incremental import (
     IncrementalEngine,
     describe_report_difference,
@@ -32,7 +32,6 @@ from repro.engine.stats import EngineStats
 __all__ = [
     "IncrementalEngine",
     "EngineStats",
-    "DependencyGraph",
     "affected_cone",
     "reports_identical",
     "describe_report_difference",

@@ -14,80 +14,50 @@ them in the server graph — burstiness propagates strictly downstream
 in a feed-forward network.  :func:`affected_cone` computes that set;
 everything outside it is guaranteed to receive bit-identical inputs
 and can reuse its previous result without recomputation.
+
+There is no separate dependency graph to build: the incidence and the
+server graph are the :class:`~repro.network.topology.Network`'s own
+indexes (:meth:`~repro.network.topology.Network.flows_at`,
+:meth:`~repro.network.topology.Network.successors`), which every edit
+derives from its parent's.  Computing a cone therefore costs the size
+of the cone, not of the network.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable
 
 from repro.network.flow import Flow
 from repro.network.topology import Network
 
-__all__ = ["DependencyGraph", "affected_cone"]
+__all__ = ["affected_cone"]
 
 ServerId = Hashable
 
 
-class DependencyGraph:
-    """Server-to-flow incidence plus downstream reachability for one
-    network snapshot.
+def _downstream(network: Network,
+                seeds: Iterable[ServerId]) -> set[ServerId]:
+    """*seeds* (those in *network*) plus every server reachable from
+    them.
 
-    Built once per analyzed network; immutable thereafter (the network
-    itself is immutable).
+    Multi-source BFS over the flow-induced server graph; linear in the
+    size of the reached subgraph.
     """
-
-    def __init__(self, network: Network) -> None:
-        self.network = network
-        flows_by_server: dict[ServerId, set[str]] = {
-            sid: set() for sid in network.servers}
-        successors: dict[ServerId, set[ServerId]] = {
-            sid: set() for sid in network.servers}
-        for f in network.flows.values():
-            for sid in f.path:
-                flows_by_server[sid].add(f.name)
-            for a, b in zip(f.path, f.path[1:]):
-                successors[a].add(b)
-        self._flows_by_server: Mapping[ServerId, frozenset[str]] = {
-            sid: frozenset(names)
-            for sid, names in flows_by_server.items()}
-        self._successors = successors
-
-    def flows_at(self, server_id: ServerId) -> frozenset[str]:
-        """Names of the flows traversing *server_id* (empty if none)."""
-        return self._flows_by_server.get(server_id, frozenset())
-
-    def servers_of(self, flow_names: Iterable[str]) -> set[ServerId]:
-        """Union of the named flows' path servers (unknown names are
-        ignored — the caller may hold names from another snapshot)."""
-        out: set[ServerId] = set()
-        flows = self.network.flows
-        for name in flow_names:
-            f = flows.get(name)
-            if f is not None:
-                out.update(f.path)
-        return out
-
-    def downstream_closure(self,
-                           servers: Iterable[ServerId]) -> set[ServerId]:
-        """*servers* plus every server reachable from them.
-
-        Multi-source BFS over the flow-induced server graph; linear in
-        the size of the reached subgraph, so small cones stay cheap.
-        """
-        frontier = [s for s in servers if s in self._successors]
-        seen: set[ServerId] = set(frontier)
-        while frontier:
-            nxt: list[ServerId] = []
-            for s in frontier:
-                for succ in self._successors[s]:
-                    if succ not in seen:
-                        seen.add(succ)
-                        nxt.append(succ)
-            frontier = nxt
-        return seen
+    servers = network.servers
+    frontier = [s for s in seeds if s in servers]
+    seen = set(frontier)
+    while frontier:
+        nxt: list[ServerId] = []
+        for s in frontier:
+            for succ in network.successors(s):
+                if succ not in seen:
+                    seen.add(succ)
+                    nxt.append(succ)
+        frontier = nxt
+    return seen
 
 
-def affected_cone(old: DependencyGraph | None, new: DependencyGraph,
+def affected_cone(old: Network | None, new: Network,
                   changed_flows: Iterable[Flow]) -> set[ServerId]:
     """Servers whose results may change between two network snapshots.
 
@@ -103,8 +73,7 @@ def affected_cone(old: DependencyGraph | None, new: DependencyGraph,
     seeds: set[ServerId] = set()
     for f in changed_flows:
         seeds.update(f.path)
-    cone = set(seeds)
+    cone = seeds | _downstream(new, seeds)
     if old is not None:
-        cone |= old.downstream_closure(seeds & set(old.network.servers))
-    cone |= new.downstream_closure(seeds & set(new.network.servers))
+        cone |= _downstream(old, seeds)
     return cone

@@ -4,15 +4,31 @@ analyses.
 :class:`IncrementalEngine` wraps an :class:`~repro.analysis.base.
 Analyzer` and serves repeated analyses of *evolving* networks — the
 admission-control workload, where consecutive networks differ by a
-handful of flows.  Three mechanisms cooperate:
+handful of flows.  Four mechanisms cooperate:
 
-1. **Dependency graph** (:mod:`repro.engine.depgraph`): which servers
-   each flow touches, and what is downstream of them.  Changing flows
-   dirties exactly the affected cone.
-2. **Fast reuse**: per-server / per-block results from the previous
+1. **Edit records**: a network derived by a flow edit records the
+   parent's version and the flows added and dropped
+   (:attr:`~repro.network.topology.Network.last_edit`).  When the
+   queried network and the last one are parent and child or siblings
+   (two admission candidates), the changed flows are read off those
+   records; otherwise every flow is compared, identity first
+   (:func:`changed_flows`).
+2. **Dependency graph** (:mod:`repro.engine.depgraph`): the network's
+   own flow and server-graph indexes say which servers each changed
+   flow touches and what is downstream of them.  Changing flows dirties
+   exactly the affected cone.
+3. **Fast reuse**: per-server / per-block results from the previous
    sweep are replayed verbatim for every block outside the cone — no
-   input construction, no hashing, no computation.
-3. **Content-addressed cache**: blocks inside the cone are keyed by a
+   input construction, no hashing, no computation.  An untraced
+   Decomposed sweep takes all of them at once from a
+   :class:`~repro.analysis.propagation.SweepReplay`: a replayed server
+   is not visited and costs no per-flow work, and the report keeps the
+   previous report's per-flow result for every flow that visits no
+   cone server, so the query costs the change and its cone plus C-level
+   copies of the previous per-server and per-flow maps.  Under a tracer
+   the sweep replays server by server instead, so every replay keeps
+   its span.
+4. **Content-addressed cache**: blocks inside the cone are keyed by a
    stable digest of their *exact* inputs (specs, flow roles, IEEE-754
    bits of every curve); a hit — e.g. releasing a flow back to a
    previously seen state — replays the stored result.  Because a key
@@ -24,22 +40,28 @@ Because every reused result was originally produced by the very same
 pure per-block function the cold analyzer runs
 (:func:`repro.analysis.propagation.server_step`,
 :func:`repro.core.integrated.evaluate_block`), engine reports are
-**bit-identical** to cold reports.  When the wrapped analyzer is not
-one the engine understands — or the network is not feed-forward — the
-engine transparently falls back to a cold full analysis (counted in
-:class:`~repro.engine.stats.EngineStats.fallbacks`), so it is a safe
-drop-in anywhere an analyzer is accepted.
+**bit-identical** to cold reports (:func:`reports_identical`).  When the
+wrapped analyzer is not one the engine understands — or the network is
+not feed-forward — the engine transparently falls back to a cold full
+analysis (counted in :class:`~repro.engine.stats.EngineStats.
+fallbacks`), so it is a safe drop-in anywhere an analyzer is accepted.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Hashable, Iterable, Mapping
 
 from repro.analysis.base import Analyzer, DelayReport
 from repro.analysis.decomposed import DecomposedAnalysis
-from repro.analysis.propagation import ServerInput, server_step
+from repro.analysis.propagation import (
+    ServerInput,
+    ServerStep,
+    SweepReplay,
+    server_step,
+)
 from repro.context import NULL_CONTEXT, AnalysisContext
 from repro.core.integrated import (
     BlockInput,
@@ -48,11 +70,12 @@ from repro.core.integrated import (
 )
 from repro.core.fifo_family import SOLVER_VERSION as FAMILY_SOLVER_VERSION
 from repro.curves.kernels import current_kernel
-from repro.engine.depgraph import DependencyGraph, affected_cone
+from repro.engine.depgraph import affected_cone
 from repro.engine.stats import EngineStats
 from repro.errors import EngineError, StoreError
 from repro.network.flow import Flow
 from repro.network.topology import Network
+from repro.servers.base import LocalAnalysis
 from repro.store import AnalysisStore
 from repro.utils.hashing import stable_digest
 
@@ -67,6 +90,7 @@ ServerId = Hashable
 #: Sweep-unit record: the result object plus its original compute time
 #: (what a reuse saves).
 _Record = tuple[object, float]
+_cost = itemgetter(1)
 
 
 def _server_key(si: ServerInput) -> bytes:
@@ -134,13 +158,107 @@ def describe_report_difference(a: DelayReport,
 
 @dataclass
 class _SweepMemo:
-    """Everything remembered from the engine's last incremental sweep."""
+    """Everything remembered from the engine's last incremental sweep.
+
+    *steps* and *local* hold each server's step and local analysis
+    (Decomposed only), the form a
+    :class:`~repro.analysis.propagation.SweepReplay` hands back to the
+    next sweep.  *report* is None while the sweep runs.
+    """
 
     network: Network
-    depgraph: DependencyGraph
     fingerprint: tuple
-    outcomes: dict[tuple, _Record]
-    report: DelayReport
+    outcomes: dict[tuple, _Record] = field(default_factory=dict)
+    steps: dict[ServerId, ServerStep] = field(default_factory=dict)
+    local: dict[ServerId, LocalAnalysis] = field(default_factory=dict)
+    report: DelayReport | None = None
+
+
+def _changed_between(old_flows: Mapping[str, Flow],
+                     new_flows: Mapping[str, Flow],
+                     names: Iterable[str]) -> list[Flow]:
+    """Both versions of every named flow that differs between two flow
+    maps (a flow present in one map only counts as differing)."""
+    changed: list[Flow] = []
+    for name in names:
+        a, b = old_flows.get(name), new_flows.get(name)
+        if a is b or (a is not None and a == b):
+            continue
+        if a is not None:
+            changed.append(a)
+        if b is not None:
+            changed.append(b)
+    return changed
+
+
+def changed_flows(old: Network, new: Network) -> list[Flow] | None:
+    """The flows that differ between two networks, or None when their
+    servers do (nothing is then structurally comparable).
+
+    A replaced flow contributes both versions.  When one network was
+    derived from the other by a flow edit, or both from one parent
+    (siblings, like two admission candidates), only the flows those
+    edits touched are compared
+    (:attr:`~repro.network.topology.Network.last_edit`).  Otherwise
+    every flow is compared, identity first (:func:`full_compare`).
+    """
+    edit, prior = new.last_edit, old.last_edit
+    if edit is not None and edit.parent == old.version:
+        touched = (edit,)  # new is old plus one edit
+    elif prior is not None and prior.parent == new.version:
+        touched = (prior,)  # old is new plus one edit
+    elif (edit is not None and prior is not None
+          and edit.parent == prior.parent):
+        touched = (edit, prior)  # siblings
+    else:
+        return full_compare(old, new)
+    names = {f.name for e in touched for f in e.added + e.dropped}
+    return _changed_between(old.flows, new.flows, names)
+
+
+def full_compare(old: Network, new: Network) -> list[Flow] | None:
+    """:func:`changed_flows` by comparing every flow of both networks."""
+    if old.allow_cycles != new.allow_cycles or old.servers != new.servers:
+        return None
+    old_flows, new_flows = old.flows, new.flows
+    changed = [f for name, f in old_flows.items()
+               if (g := new_flows.get(name)) is not f and g != f]
+    changed += [f for name, f in new_flows.items()
+                if (g := old_flows.get(name)) is not f and g != f]
+    return changed
+
+
+class _StepMemo:
+    """The engine's step interceptor for one Decomposed sweep.
+
+    Runs each server step it is handed through the engine's
+    reuse → cache → compute ladder and records it in the sweep's memo.
+    Its :attr:`replay`, when set, lets
+    :func:`~repro.analysis.propagation.propagate` keep every server
+    outside the cone from the previous sweep without calling it.
+    """
+
+    __slots__ = ("engine", "cone", "reusable", "memo", "replay", "ctx")
+
+    def __init__(self, engine: "IncrementalEngine",
+                 cone: set[ServerId] | None,
+                 reusable: dict[tuple, _Record], memo: _SweepMemo,
+                 replay: SweepReplay | None,
+                 ctx: AnalysisContext) -> None:
+        self.engine = engine
+        self.cone = cone
+        self.reusable = reusable
+        self.memo = memo
+        self.replay = replay
+        self.ctx = ctx
+
+    def __call__(self, sid: ServerId, build) -> ServerStep:
+        in_cone = self.cone is None or sid in self.cone
+        step = self.memo.steps[sid] = self.engine._lookup(
+            ("server", sid), in_cone, self.reusable, self.memo.outcomes,
+            _server_key, server_step, build, self.ctx)
+        self.memo.local[sid] = step.local
+        return step
 
 
 class IncrementalEngine(Analyzer):
@@ -256,8 +374,7 @@ class IncrementalEngine(Analyzer):
             ctx.count("engine.memo_replays")
             return memo.report
 
-        depgraph = DependencyGraph(network)
-        cone, reusable = self._plan(memo, network, depgraph, fingerprint)
+        cone, reusable, changed = self._plan(memo, network, fingerprint)
         if cone is not None and not cone and reusable:
             # nothing changed at all: the previous report stands
             ctx.count("engine.memo_replays")
@@ -268,22 +385,26 @@ class IncrementalEngine(Analyzer):
         ctx.annotate(dirty_cone=n_dirty,
                      full_rebuild=cone is None)
 
-        outcomes: dict[tuple, _Record] = {}
+        sweep = _SweepMemo(network, fingerprint)
         if self._mode == "decomposed":
-            sweep_ctx = ctx.with_interceptors(
-                step=self._make_server_step(cone, reusable, outcomes, ctx))
+            replay = None
+            if cone is not None and ctx.tracer is None:
+                replay = self._replay(memo, sweep, cone, changed, ctx)
+            sweep_ctx = ctx.with_interceptors(step=_StepMemo(
+                self, cone, reusable, sweep, replay, ctx))
         else:
-            sweep_ctx = ctx.with_interceptors(
-                block=self._make_block_step(cone, reusable, outcomes, ctx))
-        report = self._analyzer.analyze(network, ctx=sweep_ctx)
-        self._memo = _SweepMemo(network, depgraph, fingerprint,
-                                outcomes, report)
-        return report
+            sweep_ctx = ctx.with_interceptors(block=self._make_block_step(
+                cone, reusable, sweep.outcomes, ctx))
+        sweep.report = self._analyzer.analyze(network, ctx=sweep_ctx)
+        self._memo = sweep
+        return sweep.report
 
     def _plan(self, memo: _SweepMemo | None, network: Network,
-              depgraph: DependencyGraph, fingerprint: tuple,
-              ) -> tuple[set[ServerId] | None, dict[tuple, _Record]]:
-        """The invalidation pass: (dirty cone, reusable sweep units).
+              fingerprint: tuple,
+              ) -> tuple[set[ServerId] | None, dict[tuple, _Record],
+                         list[Flow]]:
+        """The invalidation pass: (dirty cone, reusable sweep units,
+        changed flows).
 
         A ``None`` cone means "everything dirty, nothing structurally
         comparable" (first query, changed analyzer config, changed
@@ -291,23 +412,39 @@ class IncrementalEngine(Analyzer):
         applies.
         """
         if memo is None or memo.fingerprint != fingerprint:
-            return None, {}
-        old = memo.network
-        if (dict(old.servers) != dict(network.servers)
-                or old.allow_cycles != network.allow_cycles):
-            return None, {}
-        old_flows: Mapping[str, Flow] = old.flows
-        new_flows: Mapping[str, Flow] = network.flows
-        changed: list[Flow] = [
-            f for name, f in old_flows.items()
-            if name not in new_flows or new_flows[name] != f]
-        changed += [
-            f for name, f in new_flows.items()
-            if name not in old_flows or old_flows[name] != f]
+            return None, {}, []
+        changed = changed_flows(memo.network, network)
+        if changed is None:
+            return None, {}, []
         if not changed:
-            return set(), memo.outcomes
-        cone = affected_cone(memo.depgraph, depgraph, changed)
-        return cone, memo.outcomes
+            return set(), memo.outcomes, changed
+        cone = affected_cone(memo.network, network, changed)
+        return cone, memo.outcomes, changed
+
+    def _replay(self, memo: _SweepMemo, sweep: _SweepMemo,
+                cone: set[ServerId], changed: list[Flow],
+                ctx: AnalysisContext) -> SweepReplay:
+        """Hand every server outside *cone* its previous step at once.
+
+        Seeds *sweep* with the previous sweep's entries for those
+        servers (the cone's are added as the sweep steps them) and
+        counts them as fast reuses.
+        """
+        outcomes = sweep.outcomes = memo.outcomes.copy()
+        steps = sweep.steps = memo.steps.copy()
+        local = sweep.local = memo.local.copy()
+        for sid in cone:
+            outcomes.pop(("server", sid), None)
+            steps.pop(sid, None)
+            local.pop(sid, None)
+        n = len(outcomes)
+        self.stats.fast_reuses += n
+        self.stats.saved_s += sum(map(_cost, outcomes.values()))
+        ctx.count("engine.fast_reuses", n)
+        flows = sweep.network.flows
+        dropped = tuple({f.name for f in changed if f.name not in flows})
+        return SweepReplay(memo.steps, memo.local, frozenset(cone),
+                           memo.report, dropped)
 
     # ------------------------------------------------------------------
     # sweep hooks
@@ -386,15 +523,6 @@ class IncrementalEngine(Analyzer):
                 ctx.count("store.writes")
         except (StoreError, OSError):
             ctx.count("store.write_errors")
-
-    def _make_server_step(self, cone, reusable, outcomes,
-                          ctx: AnalysisContext):
-        def step(sid, build):
-            in_cone = cone is None or sid in cone
-            return self._lookup(("server", sid), in_cone, reusable,
-                                outcomes, _server_key, server_step, build,
-                                ctx)
-        return step
 
     def _make_block_step(self, cone, reusable, outcomes,
                          ctx: AnalysisContext):

@@ -9,12 +9,17 @@ Algorithm Integrated, so construction eagerly verifies acyclicity and
 stability hooks are provided.
 
 A network is immutable, so everything derived from its flows — the
-flows of each server and of the whole network in name order, the server
-graph with its per-edge use counts, the topological order — is built
-once.  The edits (:meth:`Network.with_flow`, :meth:`Network.without_flow`,
+flows of each server and of the whole network in name order, each
+server's aggregate rate and the overloaded servers, the server graph
+with its per-edge use counts, the topological order — is built once.
+The edits (:meth:`Network.with_flow`, :meth:`Network.without_flow`,
 :meth:`Network.replace_flow`, :meth:`Network.replace_server`) derive the
 child's views from the parent's through the same helper the constructor
-uses, touching only the servers and edges of the flows that change.
+uses, touching only the servers and edges of the flows that change.  A
+flow edit also records itself (:attr:`Network.last_edit`: the parent's
+version and the flows added and dropped, never the parent object), so
+the incremental engine can tell what changed between a network and its
+parent or sibling without comparing every flow.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from repro.network.flow import Flow
 from repro.utils.hashing import stable_digest
 from repro.utils.validation import check_positive
 
-__all__ = ["ServerSpec", "Network", "Discipline"]
+__all__ = ["ServerSpec", "Network", "Discipline", "FlowEdit"]
 
 ServerId = Hashable
 Edge = tuple[ServerId, ServerId]
@@ -91,6 +96,26 @@ class ServerSpec:
 _STRUCT_VERSION = itertools.count(1)
 
 
+@dataclass(frozen=True)
+class FlowEdit:
+    """The flow edit that derived a network from its parent.
+
+    Attributes
+    ----------
+    parent:
+        The parent network's :attr:`Network.version` (a number, not the
+        parent itself: holding the parent would keep every ancestor of
+        a long edit chain alive).
+    added, dropped:
+        The flows the edit added and removed; a replaced flow appears
+        in both, old version dropped and new version added.
+    """
+
+    parent: int
+    added: tuple[Flow, ...]
+    dropped: tuple[Flow, ...]
+
+
 def _edges(flow: Flow) -> Iterator[Edge]:
     return zip(flow.path, flow.path[1:])
 
@@ -142,6 +167,8 @@ class Network:
         child = Network.__new__(Network)
         child._derive(self._servers if servers is None else servers,
                       self, add, drop, self.allow_cycles)
+        if servers is None:
+            child.last_edit = FlowEdit(self.version, tuple(add), tuple(drop))
         return child
 
     def _derive(self, servers: dict[ServerId, ServerSpec],
@@ -160,11 +187,13 @@ class Network:
             flows: dict[str, Flow] = {}
             at: dict[ServerId, tuple[Flow, ...]] = {
                 sid: () for sid in servers}
+            rate: dict[ServerId, float] = {}
             uses: dict[Edge, int] = {}
             ordered: list[Flow] = []
         else:
             flows = dict(base._flows)
             at = dict(base._at)
+            rate = dict(base._rate)
             uses = dict(base._uses)
             ordered = (list(base._ordered) if not gone else
                        [f for f in base._ordered if f.name not in gone])
@@ -194,6 +223,23 @@ class Network:
             kept = [f for f in at[sid] if f.name not in gone]
             at[sid] = tuple(sorted(kept + new, key=_by_name))
         ordered = tuple(sorted(ordered + added, key=_by_name))
+
+        # Aggregate rates, summed in each server's flow-name order, and
+        # the servers they overload.  Only servers whose flows or spec
+        # changed are recomputed.
+        if base is None or servers is not base._servers:
+            touched_rates = servers
+            over: set[ServerId] = set()
+        else:
+            touched_rates = joined
+            over = set(base._over)
+        for sid in touched_rates:
+            if base is None or sid in joined:
+                rate[sid] = sum(f.bucket.rho for f in at[sid])
+            if rate[sid] >= servers[sid].capacity:
+                over.add(sid)
+            else:
+                over.discard(sid)
 
         # Server graph.  Each node's successors are kept in the order of
         # their edges' first use over the flows in insertion order, as
@@ -231,6 +277,10 @@ class Network:
             graph = base._graph
             is_dag = base._is_dag
             topo = base._topo
+            if all(bool(at[sid]) == bool(base._at[sid]) for sid in joined):
+                active = base._active
+            else:
+                active = None
         else:
             graph = nx.DiGraph()
             graph.add_nodes_from(servers)
@@ -239,7 +289,7 @@ class Network:
             # Dropping edges keeps a DAG acyclic: test only new edges.
             is_dag = (nx.is_directed_acyclic_graph(graph)
                       if grew or not base_dag else True)
-            topo = None
+            topo = active = None
         if not is_dag and not allow_cycles:
             cycle = nx.find_cycle(graph)
             raise TopologyError(
@@ -250,13 +300,19 @@ class Network:
         self._servers = servers
         self._flows = flows
         self._at = at
+        self._rate = rate
+        self._over = frozenset(over)
         self._ordered = ordered
         self._uses = uses
         self._graph = graph
         self._is_dag = is_dag
         self._topo: tuple[ServerId, ...] | None = topo
+        self._active: Mapping[ServerId, int] | None = active
         self.allow_cycles = allow_cycles
         self.version = next(_STRUCT_VERSION)
+        #: The flow edit that derived this network (None when built
+        #: from scratch or by a server swap).
+        self.last_edit: FlowEdit | None = None
         self._content_key: bytes | None = None
 
     # ------------------------------------------------------------------
@@ -303,6 +359,10 @@ class Network:
         except KeyError:
             raise TopologyError(f"unknown server {server_id!r}") from None
 
+    def successors(self, server_id: ServerId) -> Iterator[ServerId]:
+        """The servers some flow visits right after *server_id*."""
+        return iter(self._graph.succ[server_id])
+
     @property
     def is_feedforward(self) -> bool:
         """True when the server graph is acyclic."""
@@ -342,6 +402,21 @@ class Network:
                 self._graph, key=lambda n: str(n)))
         return list(self._topo)
 
+    def active_servers(self) -> Mapping[ServerId, int]:
+        """The servers that carry at least one flow, in the order of
+        :meth:`topological_servers`, each mapped to its position in
+        that order (a read-only view).
+
+        Cached; an edit that changes neither the server graph nor which
+        servers carry flows keeps its parent's.
+        """
+        if self._active is None:
+            at = self._at
+            self._active = MappingProxyType({
+                s: i for i, s in enumerate(
+                    s for s in self.topological_servers() if at[s])})
+        return self._active
+
     def iter_flows(self) -> Iterator[Flow]:
         """Iterate flows in deterministic name order."""
         return iter(self._ordered)
@@ -353,8 +428,7 @@ class Network:
     def utilization(self, server_id: ServerId) -> float:
         """Long-term utilization rho_total / capacity of one server."""
         spec = self.server(server_id)
-        total = sum(f.bucket.rho for f in self._at[server_id])
-        return total / spec.capacity
+        return self._rate[server_id] / spec.capacity
 
     def max_utilization(self) -> float:
         """The largest per-server utilization in the network."""
@@ -367,10 +441,15 @@ class Network:
         utilization strictly below 1.
 
         Deterministic delay bounds do not exist otherwise; every analysis
-        calls this before doing any work.
+        calls this before doing any work.  The per-server rate sums are
+        kept up to date by every edit, so a stable network answers in
+        constant time; an overloaded one names the first overloaded
+        server in server order.
         """
+        if not self._over:
+            return
         for sid, spec in self._servers.items():
-            rate = sum(f.bucket.rho for f in self._at[sid])
+            rate = self._rate[sid]
             if rate >= spec.capacity:
                 raise InstabilityError(
                     f"server {sid!r} overloaded: aggregate rate {rate:g} >= "

@@ -7,7 +7,6 @@ from repro.analysis.service_curve import ServiceCurveAnalysis
 from repro.core.integrated import IntegratedAnalysis
 from repro.curves.token_bucket import TokenBucket
 from repro.engine import (
-    DependencyGraph,
     IncrementalEngine,
     affected_cone,
     describe_report_difference,
@@ -114,29 +113,36 @@ class TestIntegratedEngine:
 
 
 class TestDependencyGraph:
+    """The dependency graph is the network's own incidence and server
+    graph; :func:`affected_cone` closes a change over it."""
+
     def test_flows_at_and_closure(self):
         net = tandem(4).with_flow(flow("a", [1, 2])) \
                        .with_flow(flow("b", [3, 4]))
-        dg = DependencyGraph(net)
-        assert dg.flows_at(1) == {"a"}
-        assert dg.flows_at(3) == {"b"}
-        assert dg.downstream_closure([1]) == {1, 2}
-        assert dg.servers_of(["a", "nope"]) == {1, 2}
+        assert [f.name for f in net.flows_at(1)] == ["a"]
+        assert [f.name for f in net.flows_at(3)] == ["b"]
+        assert list(net.successors(1)) == [2]
+        assert list(net.successors(2)) == []
+        assert affected_cone(net, net, [flow("x", [1])]) == {1, 2}
 
     def test_affected_cone_covers_both_snapshots(self):
         old = tandem(4).with_flow(flow("a", [1, 2]))
         moved = flow("a", [3, 4])
         new = tandem(4).with_flow(moved)
-        cone = affected_cone(DependencyGraph(old),
-                             DependencyGraph(new),
-                             [old.flows["a"], moved])
+        cone = affected_cone(old, new, [old.flows["a"], moved])
         assert cone == {1, 2, 3, 4}
 
     def test_cone_excludes_untouched_upstream(self):
         net = tandem(4).with_flow(flow("a", [1, 2, 3, 4]))
-        dg = DependencyGraph(net)
-        cone = affected_cone(dg, dg, [flow("x", [3])])
+        cone = affected_cone(net, net, [flow("x", [3])])
         assert cone == {3, 4}  # 1 and 2 stay clean
+
+    def test_closure_follows_each_snapshot_separately(self):
+        # the old graph reaches 2 first; the new one goes on to 3
+        old = tandem(4).with_flow(flow("a", [1, 2]))
+        new = old.with_flow(flow("b", [2, 3]))
+        assert affected_cone(old, new, [flow("x", [1])]) == {1, 2, 3}
+        assert affected_cone(new, old, [flow("x", [1])]) == {1, 2, 3}
 
 
 class TestReportComparison:

@@ -5,13 +5,18 @@ other component outside the dirty cone.  Those servers (blocks) replay
 the previous sweep's result, so their ``ServerInput`` (``BlockInput``)
 must never be assembled; every other unit still builds exactly one.
 The report stays bit-identical to a cold analysis.
+
+Untraced, a Decomposed sweep takes the replayed servers from the
+previous sweep in one go (a ``SweepReplay``): it must count them exactly
+as a traced sweep that replays them one span at a time, and build no
+source curve for a flow outside the cone.
 """
 
 import pytest
 
 from repro.analysis import propagation
 from repro.analysis.decomposed import DecomposedAnalysis
-from repro.context import AnalysisContext
+from repro.context import AnalysisContext, MetricsRegistry
 from repro.core.integrated import IntegratedAnalysis
 from repro.curves.token_bucket import TokenBucket
 from repro.engine import IncrementalEngine, reports_identical
@@ -62,6 +67,48 @@ def test_decomposed_fast_reuse_builds_no_server_input(seed, monkeypatch):
     monkeypatch.undo()
     assert reports_identical(report,
                              DecomposedAnalysis().analyze(grown))
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_decomposed_untraced_replay_counts_like_traced(seed, monkeypatch):
+    net = random_multicomponent(seed, 8, 4, 32)
+    grown = net.with_flow(_newcomer(net, {0, 1, 2, 3}))
+    traced = IncrementalEngine(DecomposedAnalysis())
+    traced.analyze(net)
+    traced_ctx = AnalysisContext.tracing()
+    traced.analyze(grown, ctx=traced_ctx)
+
+    engine = IncrementalEngine(DecomposedAnalysis())
+    engine.analyze(net)
+    built: list = []
+    sources: list = []
+    original = propagation.build_server_input
+    original_curve = TokenBucket.constraint_curve
+
+    def counting(network, sid, curve_at, capped):
+        built.append(sid)
+        return original(network, sid, curve_at, capped)
+
+    def counting_curve(bucket):
+        sources.append(bucket)
+        return original_curve(bucket)
+
+    monkeypatch.setattr(propagation, "build_server_input", counting)
+    monkeypatch.setattr(TokenBucket, "constraint_curve", counting_curve)
+    ctx = AnalysisContext(metrics=MetricsRegistry())
+    report = engine.analyze(grown, ctx=ctx)
+    monkeypatch.undo()
+
+    for counter in ("engine.fast_reuses", "analysis.server_steps",
+                    "engine.misses", "engine.hits"):
+        assert ctx.metrics.get(counter) == traced_ctx.metrics.get(counter)
+    assert engine.stats.fast_reuses == traced.stats.fast_reuses >= 28
+    steps = ctx.metrics.get("analysis.server_steps")
+    assert len(built) == steps - ctx.metrics.get("engine.fast_reuses")
+    assert set(built) <= {0, 1, 2, 3}
+    in_cone = [f for f in grown.iter_flows() if set(f.path) <= {0, 1, 2, 3}]
+    assert 0 < len(sources) <= len(in_cone)
+    assert reports_identical(report, DecomposedAnalysis().analyze(grown))
 
 
 def test_integrated_fast_reuse_builds_no_block_input(monkeypatch):

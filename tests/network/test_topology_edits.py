@@ -8,6 +8,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.admission import AdmissionController, ConnectionRequest
+from repro.analysis.decomposed import DecomposedAnalysis
 from repro.curves.token_bucket import TokenBucket
 from repro.errors import InstabilityError, TopologyError
 from repro.network.flow import Flow
@@ -132,6 +134,14 @@ def assert_same_views(derived, fresh):
     assert derived.content_key() == fresh.content_key()
     assert outcome(derived.check_stability) == \
         outcome(fresh.check_stability)
+    # the cached rate sums are bit-identical to summing from scratch
+    for sid in fresh.servers:
+        assert derived.utilization(sid) == fresh.utilization(sid)
+        assert derived.utilization(sid) == (
+            sum(f.bucket.rho for f in fresh.flows_at(sid))
+            / fresh.server(sid).capacity)
+    assert (outcome(lambda: list(derived.active_servers().items()))
+            == outcome(lambda: list(fresh.active_servers().items())))
     # successor order decides shortest-path tie breaks (rerouting)
     assert ([(n, list(s)) for n, s in derived.server_graph.adjacency()]
             == [(n, list(s)) for n, s in fresh.server_graph.adjacency()])
@@ -222,6 +232,54 @@ class TestEditsMatchFreshConstruction:
         out = base.replace_server(ServerSpec(1, capacity=2.0))
         assert out.version != base.version
         assert out.topological_servers() == base.topological_servers()
+
+
+class TestCachedRates:
+    """Each edit re-sums only the rates of the servers it touches, over
+    their flows in name order, so every overload decision is the one
+    the plain sum over ``flows_at`` gives."""
+
+    @staticmethod
+    def two_flows():
+        net = Network([ServerSpec(1)], [])
+        for name, rho in (("c", 0.7), ("b", 0.2)):
+            net = net.with_flow(Flow(name, TokenBucket(1.0, rho), (1,)))
+        return net
+
+    def test_utilization_exactly_at_capacity_is_overload(self):
+        net = self.two_flows()
+        net.check_stability()
+        full = net.with_flow(Flow("a", TokenBucket(1.0, 0.1), (1,)))
+        # in name order (0.1 + 0.2) + 0.7 is exactly 1.0; in insertion
+        # order it would be 0.9999999999999999, below capacity
+        assert full.utilization(1) == 1.0
+        assert sum(f.bucket.rho for f in full.flows_at(1)) == 1.0
+        with pytest.raises(InstabilityError,
+                           match="aggregate rate 1 >= capacity 1"):
+            full.check_stability()
+        fresh = Network(full.servers.values(), full.flows.values())
+        assert outcome(fresh.check_stability) == \
+            outcome(full.check_stability)
+        full.without_flow("c").check_stability()
+
+    def test_server_swap_rechecks_capacity(self):
+        full = self.two_flows().with_flow(
+            Flow("a", TokenBucket(1.0, 0.1), (1,)))
+        roomy = full.replace_server(ServerSpec(1, capacity=2.0))
+        roomy.check_stability()
+        assert roomy.utilization(1) == 0.5
+        with pytest.raises(InstabilityError):
+            roomy.replace_server(ServerSpec(1)).check_stability()
+
+    def test_admission_rejects_at_capacity(self):
+        controller = AdmissionController(self.two_flows(),
+                                         DecomposedAnalysis())
+        decision = controller.test(
+            ConnectionRequest("a", TokenBucket(1.0, 0.1), (1,), 100.0))
+        assert not decision.admitted
+        assert decision.reason.startswith("overload: server 1 overloaded")
+        assert controller.test(ConnectionRequest(
+            "a", TokenBucket(1.0, 0.05), (1,), 100.0)).admitted
 
 
 def fan():
