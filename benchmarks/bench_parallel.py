@@ -6,7 +6,8 @@ components (the dependency cones), and a batch of connection requests
 spread across the cones.  The batch is admitted twice — serial
 (``workers=1``) and parallel (``workers=4``) — and the runs must agree
 *bit-identically*: same admitted set, same reasons, same bounds down to
-``float.hex``.  A single differing decision fails the run.
+``float.hex``, and equal ``admission.requests`` / ``admitted`` /
+``rejected`` counters.  A single differing decision fails the run.
 
 Runs two ways:
 
@@ -43,6 +44,9 @@ FULL = {"n_components": 8, "servers_per_component": 4,
 QUICK = {"n_components": 4, "servers_per_component": 3,
          "flows_per_component": 8, "n_requests": 8, "workers": 2}
 SPEEDUP_FLOOR = 1.5  # acceptance: 4-worker batch >= 1.5x serial (full)
+#: Decision counters the serial and parallel runs must agree on.
+COUNTERS = ("admission.requests", "admission.admitted",
+            "admission.rejected")
 
 
 def _workload(cfg: dict):
@@ -96,12 +100,18 @@ def run_bench(quick: bool = False) -> dict:
         decisions = ctrl.admit_batch(reqs, workers=workers, ctx=ctx)
         return decisions, time.perf_counter() - t0, ctrl, ctx
 
-    d_serial, batch_serial_s, ctrl_s, _ = admit_all(1)
+    d_serial, batch_serial_s, ctrl_s, ctx_s = admit_all(1)
     d_par, batch_parallel_s, ctrl_p, ctx_p = admit_all(cfg["workers"])
     mismatches += _decision_diffs(d_serial, d_par)
     if ctrl_s.admitted != ctrl_p.admitted:
         mismatches.append(f"admitted sets differ: {ctrl_s.admitted} vs "
                           f"{ctrl_p.admitted}")
+    for name in COUNTERS:
+        serial_n = ctx_s.metrics.get(name)
+        parallel_n = ctx_p.metrics.get(name)
+        if serial_n != parallel_n:
+            mismatches.append(f"counter {name}: serial {serial_n:g} vs "
+                              f"parallel {parallel_n:g}")
     groups = ctx_p.metrics.get("parallel.batch_groups")
     if not groups:
         mismatches.append("batch: parallel plan did not engage "

@@ -6,9 +6,9 @@ into groups that cannot observe each other's admissions under
 Algorithm Decomposed: a flow's bound, the stability of the servers on
 its path, and every admission-decision reason string depend only on
 the flows of its own component.  Each group is therefore evaluated
-sequentially *inside one pool worker* (replicating the serial
-test-then-commit ladder exactly), while distinct groups run
-concurrently.
+sequentially *inside one pool worker*, through a worker-local
+:class:`~repro.admission.controller.AdmissionController`'s own
+test-then-commit ladder, while distinct groups run concurrently.
 
 The planner (:func:`plan_batch`) only computes decisions; it never
 mutates the controller.  Callers execute the plan in original request
@@ -25,22 +25,22 @@ non-decomposed primary, gated-off primary, unstable or
 deadline-violating baseline, a request the grouping cannot place —
 :func:`plan_batch` returns ``None`` and the caller falls back to the
 serial loop.  Groups whose worker hits an :class:`~repro.errors.
-AnalysisError` are re-run serially through the full fallback chain
-(sound: groups are independent, so decisions are order-free across
-groups).
+AnalysisError`, raises or dies are re-run serially through the full
+fallback chain (sound: groups are independent, so decisions are
+order-free across groups).
 """
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import networkx as nx
 
+from repro.admission.controller import AdmissionController
 from repro.admission.requests import AdmissionDecision, ConnectionRequest
 from repro.analysis.decomposed import DecomposedAnalysis
-from repro.context import AnalysisContext, Deadline, MetricsRegistry
+from repro.context import AnalysisContext, MetricsRegistry
 from repro.curves.kernels import current_kernel
 from repro.engine.parallel import (
     merge_worker_metrics,
@@ -49,16 +49,7 @@ from repro.engine.parallel import (
     subnetwork,
     write_seeds,
 )
-from repro.errors import (
-    AnalysisError,
-    FlowError,
-    InstabilityError,
-    TopologyError,
-)
-from repro.network.flow import Flow
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.admission.controller import AdmissionController
+from repro.errors import AnalysisError, FlowError, InstabilityError
 
 __all__ = ["plan_batch", "PlannedBatch"]
 
@@ -73,74 +64,52 @@ PlannedBatch = list[tuple[str, AdmissionDecision | None]]
 # ----------------------------------------------------------------------
 
 def _admit_group(payload: tuple) -> dict:
-    """Evaluate one group's requests sequentially against its subnet.
+    """Run one group's requests through the controller's admission test.
 
-    Replicates :meth:`AdmissionController._test` verbatim — same check
-    order, same reason strings, same float formatting — with commits
-    simulated on the worker-local subnet.  Returns per-request decision
-    tuples plus worker metrics and (optionally) engine cache seed
-    records; an analysis failure aborts the whole group with
-    ``ok=False`` so the driver re-runs it through the fallback chain.
+    A worker-local :class:`AdmissionController` over the group's subnet
+    (primary ``DecomposedAnalysis(capped)``, the parent's budget, no
+    fallbacks) runs its own ``_test`` and ``commit`` for each request in
+    order, so later requests see earlier in-group admissions.  Returns
+    per-request ``(index, admitted, reason, bound, analyzed)`` tuples
+    plus worker metrics and (optionally) engine cache seed records; the
+    first :class:`~repro.errors.AnalysisError` aborts the whole group
+    with ``ok=False`` so the driver re-runs it through the fallback
+    chain.
     """
-    (subnet, items, capped, kernel, budget, label, want_records,
-     store_path) = payload
+    subnet, items, capped, kernel, budget, want_records, store_path = payload
     metrics = MetricsRegistry()
-    analyzer = DecomposedAnalysis(capped)
+    ctx = AnalysisContext(metrics=metrics, kernel=kernel)
     records: dict = {}
     store = open_worker_store(store_path)
-    step = None
     if want_records or store is not None:
         step, _ = store_interceptors(store, records, metrics)
+        ctx = ctx.with_interceptors(step=step)
+    errors: list[AnalysisError] = []
 
-    current = subnet
+    def listen(analyzer, exc) -> None:
+        if isinstance(exc, AnalysisError):
+            errors.append(exc)
+
+    controller = AdmissionController(
+        subnet, DecomposedAnalysis(capped), analysis_budget=budget,
+        context=ctx, analyzer_listener=listen)
     decisions: list[tuple] = []
-    for idx, flow in items:
-        try:
-            candidate = current.with_flow(flow)
-        except TopologyError as exc:
-            decisions.append((idx, False, f"topology: {exc}",
-                              math.inf, ""))
-            continue
-        try:
-            candidate.check_stability()
-        except InstabilityError as exc:
-            decisions.append((idx, False, f"overload: {exc}",
-                              math.inf, ""))
-            continue
-        ctx = AnalysisContext(metrics=metrics, kernel=kernel)
-        if budget is not None:
-            ctx = ctx.with_deadline(
-                Deadline(budget, f"{label} admission test"))
-        if step is not None:
-            ctx = ctx.with_interceptors(step=step)
-        try:
-            report = analyzer.analyze(candidate, ctx=ctx)
-        except AnalysisError as exc:
-            if store is not None:
-                store.close()
-            return {"ok": False,
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "metrics": metrics.as_dict()}
-        new_bound = report.delay_of(flow.name)
-        rejected = None
-        for f in candidate.flows.values():
-            bound = report.delay_of(f.name)
-            if bound > f.deadline:
-                who = ("requested connection" if f.name == flow.name
-                       else f"existing connection {f.name!r}")
-                rejected = (idx, False,
-                            f"deadline violation: {who} bound "
-                            f"{bound:.4g} > deadline {f.deadline:.4g}",
-                            new_bound, label)
-                break
-        if rejected is not None:
-            decisions.append(rejected)
-            continue
-        decisions.append((idx, True, "all deadlines met", new_bound,
-                          label))
-        current = candidate
-    if store is not None:
-        store.close()
+    try:
+        for idx, request in items:
+            decision = controller._test(request, ctx)
+            if errors:
+                counters = metrics.as_dict()
+                # the parent's serial rerun counts this failure itself
+                counters.pop("admission.analyzer_failures", None)
+                return {"ok": False, "metrics": counters}
+            if decision.admitted:
+                controller.commit(request, decision)
+            decisions.append((idx, decision.admitted, decision.reason,
+                              decision.new_flow_bound,
+                              bool(decision.analyzer)))
+    finally:
+        if store is not None:
+            store.close()
     return {"ok": True, "decisions": decisions,
             "metrics": metrics.as_dict(),
             "records": list(records.values())}
@@ -169,7 +138,7 @@ class _UnionFind:
             self._parent[rb] = ra
 
 
-def plan_batch(controller: "AdmissionController",
+def plan_batch(controller: AdmissionController,
                requests: Sequence[ConnectionRequest], *,
                workers: int,
                ctx: AnalysisContext) -> PlannedBatch | None:
@@ -194,7 +163,8 @@ def plan_batch(controller: "AdmissionController",
     if gate is not None and not gate(primary):
         return None
     try:
-        flows = [controller._flow_from_request(r) for r in requests]
+        for r in requests:
+            controller._flow_from_request(r)
     except FlowError:
         # An invalid request must raise *at its position in the serial
         # loop*, after earlier requests committed — only the serial
@@ -212,50 +182,46 @@ def plan_batch(controller: "AdmissionController",
             return None
 
     # -- pre-screen requests the grouping cannot place -----------------
+    # A baseline duplicate name or an unknown server fails inside
+    # with_flow before any analysis runs, so the controller's own test
+    # decides it here.
     servers = network.servers
     baseline_names = set(network.flows)
-    batch_names: dict[str, int] = {}
+    batch_names: set[str] = set()
     planned: PlannedBatch = [("serial", None)] * len(requests)
-    placed: list[tuple[int, Flow]] = []
-    for idx, flow in enumerate(flows):
-        if flow.name in baseline_names:
-            # with_flow checks duplicate names before unknown servers
-            planned[idx] = ("decision", AdmissionDecision(
-                False, f"topology: duplicate flow name {flow.name!r}"))
-            continue
-        unknown = next((s for s in flow.path if s not in servers), None)
-        if unknown is not None:
-            if flow.name in batch_names:
+    placed: list[tuple[int, ConnectionRequest]] = []
+    for idx, request in enumerate(requests):
+        duplicate = request.name in baseline_names
+        if duplicate or any(s not in servers for s in request.path):
+            if not duplicate and request.name in batch_names:
                 return None  # unknown-server + in-batch name collision
-            planned[idx] = ("decision", AdmissionDecision(
-                False, f"topology: flow {flow.name!r} traverses "
-                       f"unknown server {unknown!r}"))
+            planned[idx] = ("decision", controller._test(request, ctx))
             continue
-        batch_names.setdefault(flow.name, idx)
-        placed.append((idx, flow))
+        batch_names.add(request.name)
+        placed.append((idx, request))
     if len(placed) < 2:
         return None
 
     # -- group by weak connectivity of the union graph -----------------
     graph = network.server_graph
-    for _, flow in placed:
-        graph.add_edges_from(zip(flow.path, flow.path[1:]))
+    for _, request in placed:
+        graph.add_edges_from(zip(request.path, request.path[1:]))
     comp_of: dict = {}
     for k, comp in enumerate(nx.weakly_connected_components(graph)):
         for sid in comp:
             comp_of[sid] = k
     uf = _UnionFind()
     first_of_name: dict[str, int] = {}
-    for _, flow in placed:
-        root = comp_of[flow.path[0]]
-        if flow.name in first_of_name:
-            uf.union(first_of_name[flow.name], root)
+    for _, request in placed:
+        root = comp_of[request.path[0]]
+        if request.name in first_of_name:
+            uf.union(first_of_name[request.name], root)
         else:
-            first_of_name[flow.name] = root
-    groups: dict[int, list[tuple[int, Flow]]] = {}
-    for idx, flow in placed:
-        groups.setdefault(uf.find(comp_of[flow.path[0]]),
-                          []).append((idx, flow))
+            first_of_name[request.name] = root
+    groups: dict[int, list[tuple[int, ConnectionRequest]]] = {}
+    for idx, request in placed:
+        groups.setdefault(uf.find(comp_of[request.path[0]]),
+                          []).append((idx, request))
     if len(groups) < 2:
         return None
 
@@ -265,32 +231,34 @@ def plan_batch(controller: "AdmissionController",
     store_path = str(store.path) if store is not None else None
     want_records = controller.engine is not None or store is not None
     payloads = []
-    ordered_groups = sorted(groups.values(), key=lambda g: g[0][0])
-    for items in ordered_groups:
-        roots = {uf.find(comp_of[f.path[0]]) for _, f in items}
+    for items in sorted(groups.values(), key=lambda g: g[0][0]):
+        roots = {uf.find(comp_of[r.path[0]]) for _, r in items}
         keep = {sid for sid in network.servers
                 if uf.find(comp_of[sid]) in roots}
         payloads.append((subnetwork(network, keep), items,
                          base.capped_propagation, kernel,
-                         controller._budget, primary.name, want_records,
-                         store_path))
+                         controller._budget, want_records, store_path))
 
     ctx.count("parallel.batch_groups", len(groups))
     seeds: list = []
     listener = controller._listener
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for items, result in zip(ordered_groups,
-                                 pool.map(_admit_group, payloads)):
+        futures = [pool.submit(_admit_group, p) for p in payloads]
+        for future in futures:
+            try:
+                result = future.result()
+            except Exception:  # a dead or raising worker
+                result = {"ok": False}
             merge_worker_metrics(ctx, result.get("metrics"))
             if not result["ok"]:
                 ctx.count("parallel.group_serial_reruns")
                 continue  # entries stay ("serial", None)
-            seeds.extend(result.get("records", ()))
-            for idx, admitted, reason, bound, label in result["decisions"]:
+            seeds.extend(result["records"])
+            for idx, admitted, reason, bound, analyzed in result["decisions"]:
                 planned[idx] = ("decision", AdmissionDecision(
                     admitted, reason, new_flow_bound=bound,
-                    analyzer=label))
-                if listener is not None and label:
+                    analyzer=primary.name if analyzed else ""))
+                if listener is not None and analyzed:
                     listener(primary, None)
     # the single serialized write of worker results
     write_seeds(seeds, ctx, store=store, engine=controller.engine)

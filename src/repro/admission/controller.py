@@ -288,10 +288,15 @@ class AdmissionController:
             decision = self._test(request, ctx)
             ctx.annotate(admitted=decision.admitted,
                          reason=decision.reason)
+        self._count(decision, ctx)
+        return decision
+
+    @staticmethod
+    def _count(decision: AdmissionDecision, ctx: AnalysisContext) -> None:
+        """Count one decided request (shared with planned batches)."""
         ctx.count("admission.requests")
         ctx.count("admission.admitted" if decision.admitted
                   else "admission.rejected")
-        return decision
 
     def _test(self, request: ConnectionRequest,
               ctx: AnalysisContext) -> AdmissionDecision:
@@ -369,9 +374,7 @@ class AdmissionController:
             if kind == "serial":
                 decision = self.admit(request, ctx=ctx)
             else:
-                ctx.count("admission.requests")
-                ctx.count("admission.admitted" if decision.admitted
-                          else "admission.rejected")
+                self._count(decision, ctx)
                 if decision.admitted:
                     self.commit(request, decision)
             decisions.append(decision)

@@ -439,23 +439,32 @@ class AdmissionService:
         c = ctx if ctx is not None else self._ctx
         t0 = perf_counter()
         decision = self._controller.test(request, ctx=c)
-        self._note_latency(perf_counter() - t0)
+        return self._settle(request, decision, perf_counter() - t0)
+
+    def _settle(self, request: ConnectionRequest,
+                decision: AdmissionDecision,
+                elapsed: float) -> ServiceDecision:
+        """Take a decision in hand to a :class:`ServiceDecision`.
+
+        Notes its latency, picks its degradation level and counts it;
+        an admission is journaled (fsync'd) before it is committed.
+        """
+        self._note_latency(elapsed)
         level = self._level_of(decision)
         self._ctx.count("service.requests")
         self._ctx.count(f"service.degradation.{level}")
-        seq = None
-        if decision.admitted:
-            seq = self._journal.write_admit(
-                request, decision.new_flow_bound,
-                analyzer=decision.analyzer,
-                verify_analyzer=self._verify_names.get(decision.analyzer),
-                degradation=level)
-            self._controller.commit(request, decision)
-            self._ctx.count("service.admitted")
-            self._ops_since_snapshot += 1
-            self._maybe_snapshot()
-        else:
+        if not decision.admitted:
             self._ctx.count("service.rejected")
+            return ServiceDecision(decision, level)
+        seq = self._journal.write_admit(
+            request, decision.new_flow_bound,
+            analyzer=decision.analyzer,
+            verify_analyzer=self._verify_names.get(decision.analyzer),
+            degradation=level)
+        self._controller.commit(request, decision)
+        self._ctx.count("service.admitted")
+        self._ops_since_snapshot += 1
+        self._maybe_snapshot()
         return ServiceDecision(decision, level, seq)
 
     def admit_batch(self, requests: Iterable[ConnectionRequest], *,
@@ -495,29 +504,9 @@ class AdmissionService:
         for request, (kind, decision) in zip(requests, planned):
             if kind == "serial":
                 out.append(self.admit(request, ctx=c))
-                continue
-            self._note_latency(per_request)
-            c.count("admission.requests")
-            c.count("admission.admitted" if decision.admitted
-                    else "admission.rejected")
-            level = self._level_of(decision)
-            self._ctx.count("service.requests")
-            self._ctx.count(f"service.degradation.{level}")
-            seq = None
-            if decision.admitted:
-                seq = self._journal.write_admit(
-                    request, decision.new_flow_bound,
-                    analyzer=decision.analyzer,
-                    verify_analyzer=self._verify_names.get(
-                        decision.analyzer),
-                    degradation=level)
-                self._controller.commit(request, decision)
-                self._ctx.count("service.admitted")
-                self._ops_since_snapshot += 1
-                self._maybe_snapshot()
             else:
-                self._ctx.count("service.rejected")
-            out.append(ServiceDecision(decision, level, seq))
+                self._controller._count(decision, c)
+                out.append(self._settle(request, decision, per_request))
         return out
 
     def release(self, name: str, *, missing_ok: bool = False,

@@ -9,10 +9,12 @@ must take the serial loop unchanged.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+from repro.admission import batch
 from repro.admission.batch import plan_batch
 from repro.admission.controller import AdmissionController
 from repro.admission.requests import ConnectionRequest
@@ -55,6 +57,21 @@ def make_requests(seed: int, n: int, *, deadline: float = 100.0,
         reqs.append(ConnectionRequest(
             f"new{i}", TokenBucket(sigma, rho, peak=1.0), path, deadline))
     return reqs
+
+
+_REAL_ADMIT_GROUP = batch._admit_group
+
+
+def _dying_group(payload):
+    """A pool worker that dies mid-group (reaches workers through fork)."""
+    os._exit(3)
+
+
+def _raising_group(payload):
+    """Raise in the group holding request 0; every other group runs."""
+    if payload[1][0][0] == 0:
+        raise RuntimeError("worker bug")
+    return _REAL_ADMIT_GROUP(payload)
 
 
 def decisions_equal(serial, parallel):
@@ -247,3 +264,39 @@ class TestEngineSeeding:
         assert added == 1
         assert engine.seed_cache([(b"nonexistent-key", object(),
                                    0.2)]) == 0
+
+
+class TestWorkerFailures:
+    """A group whose worker fails reruns serially with serial decisions."""
+
+    def _run(self, net, reqs, **kwargs):
+        d_s, d_p, c_s, c_p, ctx = run_both(net, reqs, **kwargs)
+        assert decisions_equal(d_s, d_p)
+        assert c_s.admitted == c_p.admitted
+        return ctx.metrics
+
+    def test_dead_worker_reruns_serially(self, monkeypatch):
+        monkeypatch.setattr(batch, "_admit_group", _dying_group)
+        metrics = self._run(workload(0), make_requests(0, 8))
+        groups = metrics.get("parallel.batch_groups")
+        assert groups >= 2
+        assert metrics.get("parallel.group_serial_reruns") == groups
+
+    def test_raising_worker_reruns_its_group_serially(self, monkeypatch):
+        monkeypatch.setattr(batch, "_admit_group", _raising_group)
+        metrics = self._run(workload(1), make_requests(1, 8))
+        assert metrics.get("parallel.batch_groups") >= 2
+        assert metrics.get("parallel.group_serial_reruns") == 1
+
+    def test_worker_analysis_error_reruns_serially(self):
+        # a 1 ns budget expires at the first cooperative check in every
+        # worker; the serial rerun fails closed with the same reasons
+        net, reqs = workload(2), make_requests(2, 8)
+        d_s, d_p, c_s, c_p, ctx = run_both(net, reqs,
+                                           analysis_budget=1e-9)
+        assert decisions_equal(d_s, d_p)
+        assert all(d.reason.startswith("analysis failed:") for d in d_p)
+        groups = ctx.metrics.get("parallel.batch_groups")
+        assert groups >= 2
+        assert ctx.metrics.get("parallel.group_serial_reruns") == groups
+        assert ctx.metrics.get("admission.analyzer_failures") == len(reqs)

@@ -11,7 +11,7 @@ than the closed forms):
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.curves.exact import exact_convolve, exact_deconvolve
 from repro.curves.kernels import use_kernel
@@ -89,6 +89,9 @@ class TestGaloisConnection:
 
     @settings(max_examples=60, deadline=None)
     @given(mixed_curves(), convex_services())
+    @example(f=P([0.0, 0.5, 0.5902882710483099],
+                 [0.0, 0.0, 0.08567566705063585], 0.25),
+             g=P([0.0, 1e-12], [0.0, 0.0], 0.75))
     def test_mixed_numerator_galois(self, f, g):
         out = exact_convolve(exact_deconvolve(f, g), g)
         ts = np.linspace(0.0, 60.0, 241)

@@ -103,6 +103,21 @@ class TestQueries:
         assert P([0.0, 1.0], [0.0, 0.5], 2.0).is_convex()
         assert not P([0.0, 1.0], [0.0, 2.0], 0.5).is_convex()
 
+    def test_narrow_segment_artifact_is_forgiven(self):
+        # a denormal-width segment with a steep slope moves the curve by
+        # far less than eps in value: still convex
+        f = P([0.0, 1.0, 1.0 + 1e-15], [0.0, 0.0, 1e-14], 0.5)
+        assert f.is_convex()
+
+    def test_narrow_segment_does_not_hide_a_real_kink(self):
+        # slopes 0, 0.75, 0.95 (narrow), 0.25: the 0.75 -> 0.25 kink
+        # behind the narrow segment is concave, so the curve is not
+        # convex
+        f = P([0.0, 0.5, 0.6, 0.6 + 1e-13],
+              [0.0, 0.0, 0.075, 0.075 + 0.95e-13], 0.25)
+        assert not f.is_convex()
+        assert not f.is_concave()
+
     def test_line_is_both(self):
         assert P.line(1.0).is_concave() and P.line(1.0).is_convex()
 
@@ -286,6 +301,20 @@ class TestPseudoInverse:
         for v in [0.0, 0.5, 2.0, 2.25, 3.0]:
             t = f.pseudo_inverse(v)
             assert f(t) >= v - 1e-9
+
+
+    def test_galois_with_narrow_kink_in_deconvolution(self):
+        # f ⊘ g ends in narrow segments hiding a concave kink; taking it
+        # for convex sent ⊗ down the convex/convex closed form
+        from repro.curves.exact import exact_convolve, exact_deconvolve
+        f = P([0.0, 0.5, 0.5902882710483099],
+              [0.0, 0.0, 0.08567566705063585], 0.25)
+        g = P([0.0, 1e-12], [0.0, 0.0], 0.75)
+        d = exact_deconvolve(f, g)
+        assert not d.is_convex()
+        ts = np.linspace(0.0, 2.0, 401)
+        out = exact_convolve(d, g)
+        assert np.all(out.sample(ts) >= f.sample(ts) - 1e-7)
 
 
 class TestConvolution:

@@ -16,6 +16,7 @@ import pytest
 
 from repro.admission.requests import ConnectionRequest
 from repro.analysis.decomposed import DecomposedAnalysis
+from repro.context import AnalysisContext, MetricsRegistry
 from repro.curves.token_bucket import TokenBucket
 from repro.errors import RecoveryError
 from repro.network.generators import random_multicomponent
@@ -63,6 +64,33 @@ class TestServiceBatch:
             sb, pb = s.decision.new_flow_bound, p.decision.new_flow_bound
             if sb is not None:
                 assert float(sb).hex() == float(pb).hex()
+
+    def test_batch_counts_like_serial_service(self, tmp_path):
+        # admissions, a deadline rejection and a pre-screened topology
+        # rejection: every admission.* and service.* counter agrees
+        bucket = TokenBucket(0.5, 0.03, peak=1.0)
+        reqs = make_requests(6) + [
+            ConnectionRequest("tight", bucket, (0, 1), 0.01),
+            ConnectionRequest("ghost", bucket, (0, 99), 100.0)]
+        counters = {}
+        for mode in ("serial", "batch"):
+            ctx = AnalysisContext(metrics=MetricsRegistry())
+            with AdmissionService(workload(), DecomposedAnalysis(),
+                                  journal_dir=tmp_path / mode,
+                                  ctx=ctx) as svc:
+                if mode == "serial":
+                    for r in reqs:
+                        svc.admit(r)
+                else:
+                    svc.admit_batch(reqs, workers=3)
+            counters[mode] = {
+                k: v for k, v in ctx.metrics.as_dict().items()
+                if k.startswith(("admission.", "service."))
+                and not k.startswith("service.latency.")}
+            if mode == "batch":
+                assert ctx.metrics.get("parallel.batch_groups") >= 2
+        assert counters["serial"]["service.rejected"] == 2
+        assert counters["batch"] == counters["serial"]
 
     def test_batch_journals_every_admission_in_order(self, tmp_path):
         reqs = make_requests(6)
