@@ -32,7 +32,6 @@ envelope first (:func:`affine_envelope`).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,7 +41,6 @@ from scipy import optimize
 from repro.context.metrics import kernel_count
 from repro.curves.piecewise import PiecewiseLinearCurve
 from repro.errors import CurveError
-from repro.utils.tolerance import EPS, close
 from repro.utils.validation import check_positive
 
 __all__ = ["FamilyResult", "affine_envelope", "family_pair_bound",
@@ -88,63 +86,37 @@ def _prepared_objective(f12: PiecewiseLinearCurve,
     """The exact ``(theta1, theta2) -> delay`` objective of one block.
 
     Everything that does not depend on the thetas is done once here:
-    the stability test, the monotonicity check of ``f12``, its
-    breakpoints as Python floats and its values there.  The returned
-    plain-float closure evaluates ``f12`` and its lower pseudo-inverse
-    with the same formulas and comparisons as
-    :meth:`PiecewiseLinearCurve.__call__` (``np.interp``) and
-    :meth:`PiecewiseLinearCurve.pseudo_inverse`, so every value is
-    bit-identical to evaluating the curve methods per call.
+    the stability test, the monotonicity check of ``f12`` and its
+    breakpoints as Python floats.  The returned plain-float closure
+    evaluates ``f12`` and its lower pseudo-inverse through the curve's
+    own plain-float helpers (``_value`` and ``_inverse``, the code behind
+    :meth:`PiecewiseLinearCurve.__call__` and
+    :meth:`PiecewiseLinearCurve.pseudo_inverse`), so every value is
+    bit-identical to calling the curve methods, without their
+    per-call checks and counters.
     """
     r1 = c1 - rho1
     r2 = c2 - rho2
     if r1 <= 0 or r2 <= 0 or f12.long_term_rate() >= min(r1, r2):
         return lambda theta1, theta2: math.inf
     nondecreasing = f12.is_nondecreasing()
-    xs = f12.x.tolist()
-    ys = f12.y.tolist()
-    n = len(xs)
-    x_end, y_end, final = xs[-1], ys[-1], f12.final_slope
-    seg_slopes = [(ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
-                  for j in range(n - 1)]
-    # flat[k]: segment (k-1, k) is level up to tolerance
-    flat = [False] + [close(ys[k], ys[k - 1]) for k in range(1, n)]
-    # np.interp returns fp[j] exactly at xp[j], so f12 at its own
-    # breakpoints is just its y values (x[0] == 0 covers t = 0).
-    breakpoints = list(zip(xs, ys))
+    # f12 at its own breakpoints is just its y values (x[0] == 0 covers
+    # t = 0).
+    breakpoints = f12.breakpoints()
+    f12_at, preimages = f12._value, f12._inverse
+    final = f12.final_slope
     # t0: the last point of an initial zero run of f12, when f12 rises
     # after it.  tau(0) = 0 but tau(v) >= gate for every v > 0, so the
     # bits arriving just after t0 wait until the gate: the supremum
     # gate - t0 is a right limit that no breakpoint attains.
     t0 = None
-    if ys[0] <= 0.0:
+    if breakpoints[0][1] <= 0.0:
         k = 0
-        while k + 1 < n and ys[k + 1] <= 0.0:
+        n = len(breakpoints)
+        while k + 1 < n and breakpoints[k + 1][1] <= 0.0:
             k += 1
         if k + 1 < n or final > 0.0:
-            t0 = xs[k]
-
-    def f12_at(t: float) -> float:
-        if t > x_end:
-            return y_end + final * (t - x_end)
-        j = bisect_right(xs, t) - 1
-        if j == n - 1 or xs[j] == t:
-            return ys[j]
-        return seg_slopes[j] * (t - xs[j]) + ys[j]
-
-    def preimage(target: float, k: int) -> float:
-        # k = searchsorted(y, target, side="left")
-        if target <= ys[0]:
-            return 0.0
-        if k < n:
-            y0, y1 = ys[k - 1], ys[k]
-            x0, x1 = xs[k - 1], xs[k]
-            if flat[k]:
-                return x1 if target > y0 else x0
-            return x0 + (target - y0) * (x1 - x0) / (y1 - y0)
-        if final <= EPS:
-            return math.inf if target > y_end + EPS else x_end
-        return x_end + (target - y_end) / final
+            t0 = breakpoints[k][0]
 
     def objective(theta1: float, theta2: float) -> float:
         a1 = sigma1 - rho1 * theta1
@@ -181,17 +153,7 @@ def _prepared_objective(f12: PiecewiseLinearCurve,
             if not nondecreasing:
                 raise CurveError(
                     "pseudo_inverse requires a nondecreasing curve")
-            k = bisect_left(ys, levels[0])
-            ks = [k]
-            if len(levels) == 2:
-                # np.searchsorted narrows each search by the previous
-                # key's index; on a sorted y this changes nothing.
-                if levels[0] < levels[1]:
-                    ks.append(bisect_left(ys, levels[1], k))
-                else:
-                    ks.append(bisect_left(ys, levels[1], 0, min(k + 1, n)))
-            for lv, k in zip(levels, ks):
-                t = preimage(lv, k)
+            for t in preimages(levels):
                 if math.isfinite(t):
                     best = max(best, tau(f12_at(t)) - t)
         return best

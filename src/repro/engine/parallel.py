@@ -100,12 +100,17 @@ def store_interceptors(store, records: dict,
     previous sweep to replay, so every unit's input is built.  A miss
     computes the value and lands ``(key, value, compute seconds)`` in
     *records*, keyed by content key, for the parent's
-    :func:`write_seeds`.  With *metrics*, store probes count as
-    ``store.hits`` / ``store.misses``.
+    :func:`write_seeds`; a key already in *records* (a unit computed
+    earlier in the same group) answers from there, before the store.
+    With *metrics*, store probes count as ``store.hits`` /
+    ``store.misses``.
     """
     def lookup(key_fn, compute, build):
         payload = build()
         key = key_fn(payload)
+        known = records.get(key)
+        if known is not None:
+            return known[1]
         if store is not None:
             entry = store.get(key)
             if entry is not None:

@@ -300,3 +300,41 @@ class TestWorkerFailures:
         assert groups >= 2
         assert ctx.metrics.get("parallel.group_serial_reruns") == groups
         assert ctx.metrics.get("admission.analyzer_failures") == len(reqs)
+
+
+class TestWorkerReuse:
+    def test_repeated_key_in_a_group_is_computed_once(self, monkeypatch):
+        # two requests in one component: the second request's analysis
+        # steps every server the second path does not reach on the very
+        # inputs the first request's analysis already stepped
+        from repro.engine import parallel, subnetwork
+
+        net = workload(4)
+        comp = tuple(range(SPC))
+        reqs = [ConnectionRequest("a", TokenBucket(0.5, 0.05, peak=1.0),
+                                  comp[:2], 100.0),
+                ConnectionRequest("b", TokenBucket(0.5, 0.05, peak=1.0),
+                                  comp[2:], 100.0)]
+        subnet = subnetwork(net, comp)
+        lookups, computed = [], []
+        key_fn, step_fn = parallel._server_key, parallel.server_step
+        monkeypatch.setattr(parallel, "_server_key",
+                            lambda si: lookups.append(1) or key_fn(si))
+        monkeypatch.setattr(parallel, "server_step",
+                            lambda si: computed.append(1) or step_fn(si))
+        out = batch._admit_group((subnet, list(enumerate(reqs)), False,
+                                  "exact", None, True, None))
+        assert out["ok"]
+        assert len(lookups) > len(computed)  # a key repeated ...
+        assert len(computed) == len(out["records"])  # ... computed once
+
+        serial = AdmissionController(subnet, DecomposedAnalysis())
+        expected = []
+        for i, request in enumerate(reqs):
+            d = serial.admit(request)
+            expected.append((i, d.admitted, d.reason,
+                             float(d.new_flow_bound).hex()))
+        got = [(i, admitted, reason, float(bound).hex())
+               for i, admitted, reason, bound, _ in out["decisions"]]
+        assert got == expected
+        assert all(admitted for _, admitted, *_ in got)

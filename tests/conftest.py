@@ -15,12 +15,17 @@ import signal
 import threading
 
 import pytest
+from hypothesis import settings
 
 from repro.curves.piecewise import PiecewiseLinearCurve
 from repro.curves.token_bucket import TokenBucket
 from repro.network.tandem import build_tandem
 
 TEST_TIMEOUT = float(os.environ.get("REPRO_TEST_TIMEOUT", "300"))
+
+# ``pytest --hypothesis-profile nightly``: the nightly workflow's deeper
+# property runs.  Without the flag the default profile applies.
+settings.register_profile("nightly", max_examples=2000, deadline=None)
 
 
 @pytest.hookimpl(wrapper=True)
