@@ -13,6 +13,21 @@ analyzer.
 Every warm bound is compared against the cold bound of the same
 network via ``float.hex`` — a single differing bit fails the run.
 
+A second row times the first two admissions after a crash, on a
+network of disjoint random components (the restart shape perfbench's
+``restart-burst`` uses), where an admission's cone is one component: a
+journaled, store-backed service admits a short history and dies;
+each repetition recovers a fresh copy with
+:func:`~repro.service.recover_service` and admits two probe requests,
+alternating which goes first, so the two medians compare the same
+requests.  Recovery hands the service the engine that verified the
+journal, so the first admission should cost about what the second
+does (``recovery_first_second_ratio``; the baseline's ceiling is 2).
+The history ends with an admission: releases journaled after the last
+admission leave their cone to the first query, because no analysis has
+seen the network without them yet.  Both admissions' bounds are
+checked against the cold analysis like every other bound.
+
 Runs two ways:
 
 * ``python benchmarks/bench_store.py`` — standalone, writes
@@ -27,19 +42,31 @@ Runs two ways:
 from __future__ import annotations
 
 import random
+import shutil
+import statistics
 import sys
 import tempfile
 import time
+from pathlib import Path
 
+from repro.admission.requests import ConnectionRequest
 from repro.analysis.decomposed import DecomposedAnalysis
 from repro.engine import IncrementalEngine
-from repro.network.generators import random_feedforward
+from repro.network.generators import random_feedforward, random_multicomponent
+from repro.service import AdmissionService, recover_service
 from repro.store import AnalysisStore
 
 SEED = 2026
 FULL = {"n_servers": 32, "n_flows": 256, "n_cycles": 8}
 QUICK = {"n_servers": 12, "n_flows": 48, "n_cycles": 3}
 SPEEDUP_FLOOR = 5.0  # acceptance: warm re-admission >= 5x cold (full)
+#: the recovery row's network (random_multicomponent) and repetitions
+RECOVERY = {
+    "quick": {"n_components": 6, "servers_per_component": 4,
+              "flows_per_component": 16, "history": 6, "reps": 8},
+    "full": {"n_components": 8, "servers_per_component": 4,
+             "flows_per_component": 32, "history": 12, "reps": 16},
+}
 
 
 def _workload(n_servers: int, n_flows: int):
@@ -139,6 +166,73 @@ def run_bench(store_dir: str, quick: bool = False) -> dict:
     }
 
 
+def _request(flow) -> ConnectionRequest:
+    """*flow* as an admission request; its deadline admits any bound."""
+    return ConnectionRequest(flow.name, flow.bucket, flow.path, 1e9)
+
+
+def run_recovery(work_dir: str, quick: bool = False) -> dict:
+    """First vs second admission after ``recover_service``."""
+    cfg = RECOVERY["quick" if quick else "full"]
+    net = random_multicomponent(SEED, cfg["n_components"],
+                                cfg["servers_per_component"],
+                                cfg["flows_per_component"])
+    picks = random.Random(11).sample(sorted(net.flows), cfg["history"] + 2)
+    history, probes = picks[:-2], picks[-2:]
+    base = net
+    for name in picks:
+        base = base.without_flow(name)
+    work = Path(work_dir)
+
+    # the crashed process: admits the history, then dies unclosed
+    with AnalysisStore(work / "store") as store:
+        svc = AdmissionService(base, DecomposedAnalysis(),
+                               journal_dir=work / "journal", store=store)
+        for name in history:
+            assert svc.admit(_request(net.flows[name])).admitted
+        svc.journal.close()
+    recovered = base
+    for name in history:
+        recovered = recovered.with_flow(svc.network.flows[name])
+
+    first: list[float] = []
+    second: list[float] = []
+    mismatches: list[str] = []
+    cold = DecomposedAnalysis()
+    for rep in range(cfg["reps"]):
+        copy = work / f"rep-{rep}"
+        shutil.copytree(work / "journal", copy / "journal")
+        shutil.copytree(work / "store", copy / "store")
+        order = probes if rep % 2 == 0 else probes[::-1]
+        expected = recovered
+        with AnalysisStore(copy / "store") as store:
+            svc = recover_service(copy / "journal", store=store)
+            for times, name in zip((first, second), order):
+                t0 = time.perf_counter()
+                decision = svc.admit(_request(net.flows[name]))
+                times.append(time.perf_counter() - t0)
+                expected = expected.with_flow(svc.network.flows[name])
+                want = cold.analyze(expected).delay_of(name).hex()
+                if (not decision.admitted
+                        or decision.bound.hex() != want):
+                    mismatches.append(
+                        f"recovery rep {rep} {name}: admitted "
+                        f"{decision.admitted}, bound "
+                        f"{decision.bound.hex()} != cold {want}")
+            svc.close()
+        shutil.rmtree(copy)
+
+    first_s, second_s = statistics.median(first), statistics.median(second)
+    return {
+        "recovery_config": {k: v for k, v in cfg.items() if k != "reps"},
+        "recovery_reps": len(first),
+        "recovery_first_admit_s": first_s,
+        "recovery_second_admit_s": second_s,
+        "recovery_first_second_ratio": first_s / second_s,
+        "recovery_mismatches": mismatches[:20],
+    }
+
+
 # ----------------------------------------------------------------------
 # pytest entry points
 # ----------------------------------------------------------------------
@@ -149,6 +243,12 @@ def test_store_warm_start_bit_identical(tmp_path):
     assert result["warm_cold_computes"] == 0  # everything store-served
     assert result["readmit_speedup"] is not None
     assert result["readmit_speedup"] > 1.0
+
+
+def test_admissions_after_recovery_bit_identical(tmp_path):
+    result = run_recovery(str(tmp_path), quick=True)
+    assert result["recovery_mismatches"] == []
+    assert result["recovery_reps"] == RECOVERY["quick"]["reps"]
 
 
 # ----------------------------------------------------------------------
@@ -164,6 +264,8 @@ def main() -> int:
     quick = bench_quick()
     with tempfile.TemporaryDirectory(prefix="repro-bench-store-") as d:
         result = run_bench(d, quick=quick)
+    with tempfile.TemporaryDirectory(prefix="repro-bench-recovery-") as d:
+        result.update(run_recovery(d, quick=quick))
 
     out = write_artifact("store", result)
     size = "quick" if quick else "full"
@@ -173,9 +275,14 @@ def main() -> int:
           f" {result['full_analysis_speedup']:.2f}x,"
           f" {result['store_entries']} store entr(ies),"
           f" {result['warm_cold_computes']} warm cold-compute(s) -> {out}")
+    print(f"BENCH-STORE recovery: first admission "
+          f"{result['recovery_first_admit_s'] * 1e3:.2f} ms, second "
+          f"{result['recovery_second_admit_s'] * 1e3:.2f} ms (median of "
+          f"{result['recovery_reps']}) — "
+          f"{result['recovery_first_second_ratio']:.2f}x")
 
     rc = 0
-    for m in result["mismatches"]:
+    for m in result["mismatches"] + result["recovery_mismatches"]:
         print(f"MISMATCH: {m}", file=sys.stderr)
         rc = 1
     if result["warm_cold_computes"]:

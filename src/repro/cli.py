@@ -1005,7 +1005,8 @@ def _cmd_store(args) -> int:
             info = store.describe()
             cap = info["max_bytes"]
             print(f"store: {info['path']}")
-            print(f"  format:   v{info['format']} ({info['schema']})")
+            print(f"  format:   v{info['format']} ({info['schema']}; "
+                  f"reads {', '.join(info['reads'])})")
             print(f"  entries:  {info['entries']}")
             print(f"  live:     {info['live_bytes']} payload byte(s)"
                   + (f" (cap {cap})" if cap is not None else ""))

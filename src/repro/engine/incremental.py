@@ -97,13 +97,16 @@ def _server_key(si: ServerInput) -> bytes:
     """Content digest of one decomposition step's exact inputs.
 
     The curve kernel is part of the key: a step evaluated on the grid
-    backend must never replay as an exact result (or vice versa).
+    backend must never replay as an exact result (or vice versa).  Each
+    curve is fed as its :meth:`~repro.curves.piecewise.
+    PiecewiseLinearCurve.key_part`, the bytes its ``x``, ``y`` and
+    ``final_slope`` encode to, packed without building the arrays.
     """
     parts: list[object] = ["step", si.capacity, si.discipline, si.capped,
                            si.kernel]
     for fa in si.flows:
         parts.extend((fa.name, fa.has_next, fa.priority, fa.rho,
-                      fa.curve.x, fa.curve.y, fa.curve.final_slope))
+                      fa.curve.key_part()))
     return stable_digest(*parts)
 
 
@@ -118,7 +121,7 @@ def _block_key(bi: BlockInput) -> bytes:
                            bi.kernel, FAMILY_SOLVER_VERSION]
     for fa in bi.flows:
         parts.extend((fa.name, fa.role, fa.has_next, fa.priority, fa.rho,
-                      fa.curve.x, fa.curve.y, fa.curve.final_slope))
+                      fa.curve.key_part()))
     return stable_digest(*parts)
 
 

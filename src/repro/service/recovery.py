@@ -51,6 +51,11 @@ __all__ = [
 ]
 
 
+def _cold_name(name: str) -> str:
+    """The analyzer name an engine answer verifies under."""
+    return name.removeprefix("incremental+")
+
+
 def resolve_analyzer(name: str) -> Analyzer:
     """Build the analyzer a journal record names.
 
@@ -60,8 +65,7 @@ def resolve_analyzer(name: str) -> Analyzer:
     degraded rung's ``conservative`` resolves to
     :class:`~repro.service.degrade.ConservativeAnalysis`.
     """
-    if name.startswith("incremental+"):
-        name = name[len("incremental+"):]
+    name = _cold_name(name)
     if name == "conservative":
         return ConservativeAnalysis()
     try:
@@ -194,6 +198,10 @@ class RecoveryReport:
     checked: int
     mismatches: tuple[str, ...]
     final_bounds: dict[str, float]
+    #: the analyzers verification ran, by cold name: an incremental
+    #: engine (memo included) where a store was given
+    analyzers: dict[str, Analyzer] = field(default_factory=dict,
+                                           repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -261,6 +269,7 @@ def verify_recovery(source: str | Path | RecoveredState, *,
     analyzers: dict[str, Analyzer] = {}
 
     def analyzer_for(name: str) -> Analyzer:
+        name = _cold_name(name)
         if name not in analyzers:
             resolved = resolve_analyzer(name)
             if store is not None:
@@ -337,7 +346,7 @@ def verify_recovery(source: str | Path | RecoveredState, *,
                         f"re-analyzed {got!r}")
 
     return RecoveryReport(checked=checked, mismatches=tuple(mismatches),
-                          final_bounds=final_bounds)
+                          final_bounds=final_bounds, analyzers=analyzers)
 
 
 def recover_service(directory: str | Path, *,
@@ -364,6 +373,12 @@ def recover_service(directory: str | Path, *,
     results (bit-identity still enforced per bound) and the resumed
     service keeps it as its persistent cache tier.  Extra keyword
     arguments are forwarded to the service constructor.
+
+    When verification ran the journaled primary behind an incremental
+    engine (a *store* was given) and neither *analyzer* nor
+    ``incremental=False`` asks for another primary, the service is
+    handed that engine, memo included: its first query replays the
+    verified network instead of keying and reading every server again.
     """
     from repro.service.service import AdmissionService
 
@@ -374,6 +389,7 @@ def recover_service(directory: str | Path, *,
             f"{state.kernel!r}; resuming under {kernel!r} would mix "
             "bounds from two kernels in one journal — rerun without "
             f"--kernel or with --kernel {state.kernel}")
+    primary = analyzer
     if verify:
         report = verify_recovery(state, kernel=kernel, store=store,
                                  ctx=ctx)
@@ -381,8 +397,12 @@ def recover_service(directory: str | Path, *,
             raise RecoveryError(
                 "recovered state failed bound verification:\n"
                 + report.render())
-    primary = analyzer if analyzer is not None else resolve_analyzer(
-        state.analyzer_name)
+        engine = report.analyzers.get(_cold_name(state.analyzer_name))
+        if (primary is None and isinstance(engine, IncrementalEngine)
+                and service_kwargs.get("incremental", True)):
+            primary = engine  # its memo holds the verified network
+    if primary is None:
+        primary = resolve_analyzer(state.analyzer_name)
     return AdmissionService(
         state.network, primary, journal_dir=directory, resume=True,
         admitted=state.admitted, kernel=state.kernel or kernel,

@@ -23,7 +23,9 @@ Design notes:
 * The **format version** and **value schema** live in every segment's
   header *and* in the index.  A reader that finds either tag it does
   not understand ignores that file entirely — version skew degrades to
-  recomputation, never to misinterpreting bytes.
+  recomputation, never to misinterpreting bytes.  A reader may read
+  more than one schema (:data:`READ_SCHEMAS`); it writes only
+  :data:`VALUE_SCHEMA`, and appends only to segments tagged with it.
 * The per-frame CRC makes a bit flip a detectable *miss* instead of a
   wrong (and, for this codebase, contract-breaking) bound.
 * A crash mid-append leaves a torn final frame; the scanner detects it
@@ -44,12 +46,14 @@ from typing import BinaryIO
 __all__ = [
     "FORMAT_VERSION",
     "VALUE_SCHEMA",
+    "READ_SCHEMAS",
     "FRAME_MAGIC",
     "FRAME_HEADER",
     "KEY_BYTES",
     "FrameRef",
     "segment_header",
     "parse_segment_header",
+    "readable",
     "pack_frame",
     "checksum",
     "scan_segment",
@@ -59,10 +63,19 @@ __all__ = [
 FORMAT_VERSION = 1
 
 #: Tag describing what the payloads *are* (pickled analysis results:
-#: ``ServerStep`` / ``BlockOutcome`` tuples).  Bump whenever those
-#: dataclasses change shape so stale stores fall back to recomputation
-#: instead of feeding old pickles to new code.
-VALUE_SCHEMA = "repro-analysis-v1"
+#: ``ServerStep`` / ``BlockOutcome`` tuples), written into every new
+#: segment.  Bump whenever those dataclasses change shape so stale
+#: stores fall back to recomputation instead of feeding old pickles to
+#: new code.  ``v2`` pickles each curve's breakpoints as float lists;
+#: ``v1`` pickled them as float64 arrays, which code before ``v2``
+#: needs.
+VALUE_SCHEMA = "repro-analysis-v2"
+
+#: Every value schema this code reads: its own, and ``v1``, whose
+#: array-state curves still load (a ``v2`` segment may hold them too,
+#: copied there by compaction).  A segment or index with any other tag
+#: reads as empty.
+READ_SCHEMAS = frozenset({"repro-analysis-v1", VALUE_SCHEMA})
 
 FRAME_MAGIC = b"\xabRS1"
 FRAME_HEADER = struct.Struct("<4s16sII")
@@ -95,6 +108,11 @@ def parse_segment_header(line: bytes) -> tuple[int, str] | None:
         return None
 
 
+def readable(format_version: int, schema: str) -> bool:
+    """True when this code reads a segment or index with these tags."""
+    return format_version == FORMAT_VERSION and schema in READ_SCHEMAS
+
+
 def checksum(payload: bytes) -> int:
     """The frame checksum of *payload* (crc32, masked to u32)."""
     return zlib.crc32(payload) & 0xFFFFFFFF
@@ -116,8 +134,9 @@ def scan_segment(fh: BinaryIO) -> tuple[list[FrameRef], int, bool]:
     the byte count of the valid prefix — everything past it is a torn
     or corrupt tail the writer should truncate.  ``header_ok`` is False
     when the segment's header line is missing, unparseable or names a
-    format/schema this code does not speak; such segments contribute no
-    frames (version skew reads as "empty", i.e. recompute).
+    format/schema this code does not read (:func:`readable`); such
+    segments contribute no frames (version skew reads as "empty", i.e.
+    recompute).
 
     Payload bytes are *not* read (and CRCs not verified) here: a scan
     touches only the 28-byte frame headers, so opening a large store is
@@ -128,7 +147,7 @@ def scan_segment(fh: BinaryIO) -> tuple[list[FrameRef], int, bool]:
     if not line.endswith(b"\n"):
         return [], 0, False
     parsed = parse_segment_header(line)
-    if parsed is None or parsed != (FORMAT_VERSION, VALUE_SCHEMA):
+    if parsed is None or not readable(*parsed):
         return [], 0, False
     frames: list[FrameRef] = []
     pos = len(line)

@@ -28,7 +28,10 @@ Durability and corruption semantics:
   Callers recompute and the recomputed entry repairs the store.
 * Segment headers and the index both carry the format version and the
   value schema tag; files written by an incompatible version read as
-  empty (recompute), not as garbage.
+  empty (recompute), not as garbage.  New segments carry the current
+  schema; segments of an older schema this code still reads
+  (:data:`~repro.store.format.READ_SCHEMAS`) are served, never appended
+  to, and compaction copies their entries into current segments.
 
 The store is single-writer, many-reader: one process opens it
 writable (the admission service, the sweep driver, the bench harness)
@@ -52,9 +55,12 @@ from repro.store.format import (
     FORMAT_VERSION,
     FRAME_HEADER,
     KEY_BYTES,
+    READ_SCHEMAS,
     VALUE_SCHEMA,
     checksum,
     pack_frame,
+    parse_segment_header,
+    readable,
     scan_segment,
     segment_header,
 )
@@ -258,8 +264,7 @@ class AnalysisStore:
         except (OSError, ValueError):
             return None
         try:
-            if (int(raw["format"]) != FORMAT_VERSION
-                    or str(raw["schema"]) != VALUE_SCHEMA):
+            if not readable(int(raw["format"]), str(raw["schema"])):
                 return None
             segments = {str(k): int(v) for k, v in raw["segments"].items()}
             entries = [(bytes.fromhex(k), str(seg), int(off), int(ln), int(crc))
@@ -355,6 +360,7 @@ class AnalysisStore:
             "path": str(self._dir),
             "format": FORMAT_VERSION,
             "schema": VALUE_SCHEMA,
+            "reads": sorted(READ_SCHEMAS),
             "entries": len(self._entries),
             "segments": len(self._disk_segments()),
             "live_bytes": self.live_bytes,
@@ -514,6 +520,8 @@ class AnalysisStore:
         # but only when its clean length matches the file exactly (a
         # foreign/headerless segment scans as clean == 0 and must never
         # be appended to: its frames would sit past unscannable bytes)
+        # and its header names the schema written here (an older
+        # schema's readers would load the new frames)
         name = None
         for candidate in reversed(self._disk_segments()):
             clean = self._segments.get(candidate)
@@ -524,7 +532,8 @@ class AnalysisStore:
             if (clean is not None
                     and clean == size
                     and clean >= len(segment_header())
-                    and clean + incoming <= self._segment_bytes):
+                    and clean + incoming <= self._segment_bytes
+                    and self._writes_schema(candidate)):
                 name = candidate
             break  # only ever consider the newest segment
         if name is None:
@@ -533,6 +542,15 @@ class AnalysisStore:
         self._writer_name = name
         self._segments.setdefault(name, len(segment_header()))
         return self._writer
+
+    def _writes_schema(self, name: str) -> bool:
+        """True when segment *name* is tagged with the written schema."""
+        try:
+            with open(self._dir / name, "rb") as fh:
+                line = fh.readline(4096)
+        except OSError:
+            return False
+        return parse_segment_header(line) == (FORMAT_VERSION, VALUE_SCHEMA)
 
     def _close_writer(self) -> None:
         if self._writer is not None:

@@ -20,27 +20,56 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["stable_digest", "digest_update"]
+__all__ = ["stable_digest", "digest_update", "Encoded", "encode_curve"]
 
 # A type tag byte followed by a little-endian float64 / int64 (the
 # value itself, or a length header), packed in one call.
 _TAGGED_FLOAT = struct.Struct("<cd").pack
 _TAGGED_INT = struct.Struct("<cq").pack
 _F64 = np.dtype(np.float64)
+_pack = struct.pack
+
+
+class Encoded(bytes):
+    """Bytes that already are the canonical encoding of some values.
+
+    :func:`_encode` appends an instance as it is, so a caller that can
+    pack the encoding more cheaply than it can build the values feeds
+    the same bytes without them (:func:`encode_curve`).
+    """
+
+    __slots__ = ()
+
+
+def encode_curve(xs: list, ys: list, final_slope: float) -> Encoded:
+    """The encoding of ``(array(xs), array(ys), final_slope)``.
+
+    Packed straight from the lists of Python floats a curve keeps: for
+    each list ``b"a"``, its float64 byte length and its values, then
+    ``b"f"`` and the slope, all little endian: the bytes the float64
+    arrays (native order) and the float encode to on a little-endian
+    host.  No array is built.
+    """
+    n = len(xs)
+    return Encoded(_pack(f"<cq{n}dcq{n}dcd", b"a", 8 * n, *xs,
+                         b"a", 8 * n, *ys, b"f", final_slope))
 
 
 def _encode(obj, out: list) -> None:
     """Append the canonical encoding of *obj* to *out* as byte chunks.
 
     Dispatches on the exact type first: the engine's keys are built
-    from plain floats, native float64 arrays (whose buffers are
-    appended as they are), strings, bools and ints.  A subclass, or an
-    array of another dtype or layout, is converted to that exact base
-    value, which encodes to the same bytes.
+    from plain floats, pre-encoded :class:`Encoded` chunks and native
+    float64 arrays (both appended as they are), strings, bools and
+    ints.  A subclass, or an array of another dtype or layout, is
+    converted to that exact base value, which encodes to the same
+    bytes.
     """
     t = type(obj)
     if t is float:
         out.append(_TAGGED_FLOAT(b"f", obj))
+    elif t is Encoded:
+        out.append(obj)
     elif (t is np.ndarray and obj.dtype == _F64
           and obj.flags.c_contiguous):
         out.append(_TAGGED_INT(b"a", obj.nbytes))
@@ -87,7 +116,8 @@ def digest_update(h, obj) -> None:
     """Feed one value into a hashlib digest, canonically.
 
     Supported: ``None``, ``bool``, ``int``, ``float``, ``str``,
-    ``bytes``, numpy arrays and (nested) tuples/lists.  Every value is
+    ``bytes``, numpy arrays, (nested) tuples/lists and
+    :class:`Encoded` chunks, which are fed as they are.  Every value is
     prefixed with a type tag so e.g. ``1`` and ``1.0`` and ``"1"`` hash
     differently and sequences cannot collide by concatenation.  The
     whole encoding is fed to *h* in one ``update``.

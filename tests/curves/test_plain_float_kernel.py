@@ -27,6 +27,7 @@ import numpy as np
 from hypothesis import example, given, strategies as st
 
 from repro.curves.piecewise import PiecewiseLinearCurve as P
+from repro.utils.hashing import _encode, stable_digest
 from tests.curves.reference_piecewise import PiecewiseLinearCurve as R
 
 # -- strategies --------------------------------------------------------
@@ -366,22 +367,44 @@ def test_against_service_lines(spec, rate):
 @given(specs())
 def test_pickle_round_trip(spec):
     ref, new = pair(spec)
-    # the new class pickles the state the reference class pickled ...
+    # the state names the reference class's slots, but holds the float
+    # lists, not read-only arrays: a store reads them back without
+    # building arrays, and tags such pickles with their own value
+    # schema (tests/store/test_schema_compat.py) because code that
+    # reads only arrays cannot load them ...
     _, _, state = new.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[:3]
     _, _, ref_state = ref.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[:3]
     assert state[0] is None and ref_state[0] is None
     assert list(state[1]) == list(ref_state[1])
-    assert [canon(v) for v in state[1].values()] == [
-        canon(v) for v in ref_state[1].values()]
-    # ... so the reference class loads it (pickle sets the slots) ...
-    old = object.__new__(R)
-    for name, value in state[1].items():
-        setattr(old, name, value)
+    xs, ys, slope = state[1]["x"], state[1]["y"], state[1]["final_slope"]
+    assert type(xs) is list and type(ys) is list and type(slope) is float
+    assert all(type(v) is float for v in xs + ys)
+    assert hexes(xs) == hexes(ref_state[1]["x"])
+    assert hexes(ys) == hexes(ref_state[1]["y"])
+    assert float.hex(slope) == float.hex(ref_state[1]["final_slope"])
+    # ... the array state the reference class pickles still loads ...
+    old = object.__new__(P)
+    old.__setstate__(ref_state)
     assert canon(old) == canon(ref)
-    # ... and it round-trips
+    # ... and the list state round-trips, bit for bit
     back = pickle.loads(pickle.dumps(new, pickle.HIGHEST_PROTOCOL))
     assert canon(back) == canon(new)
+    assert hexes(back.x) == hexes(new.x)
     assert canon(back(1.5)) == canon(ref(1.5))
+
+
+@given(specs())
+@example(([0.0], [0.0], 0.0))
+@example(([-0.0, 5e-324], [1e-300, -0.0], -5e-324))
+def test_key_part_is_the_array_encoding(spec):
+    # the engine keys curves by key_part(); every store written before
+    # keyed them by the arrays and the final slope
+    curve = P(*spec)
+    assert (stable_digest(curve.key_part())
+            == stable_digest(curve.x, curve.y, curve.final_slope))
+    parts: list = []
+    _encode((curve.x, curve.y, curve.final_slope), parts)
+    assert curve.key_part() == b"".join(parts)[1:-1]
 
 
 # -- stores written before the rewrite -----------------------------------
