@@ -28,6 +28,16 @@ admission leave their cone to the first query, because no analysis has
 seen the network without them yet.  Both admissions' bounds are
 checked against the cold analysis like every other bound.
 
+A third row recovers after a checkpoint: the service admits a
+history, checkpoints (which writes its sweep of the snapshot network
+to the store as one record), admits one more request and dies.
+Recovery seeds verification from that record, so the first (here the
+only) verification query keys and reads only its cone: the row counts
+the store reads recovery makes and gates them at the cone's servers
+plus the one record (``checkpoint_recovery_excess_reads`` at most 1),
+a count that does not depend on the host.  Recovery's median latency
+is reported beside it.
+
 Runs two ways:
 
 * ``python benchmarks/bench_store.py`` — standalone, writes
@@ -41,6 +51,7 @@ Runs two ways:
 
 from __future__ import annotations
 
+import math
 import random
 import shutil
 import statistics
@@ -51,7 +62,8 @@ from pathlib import Path
 
 from repro.admission.requests import ConnectionRequest
 from repro.analysis.decomposed import DecomposedAnalysis
-from repro.engine import IncrementalEngine
+from repro.engine import IncrementalEngine, affected_cone
+from repro.errors import RecoveryError
 from repro.network.generators import random_feedforward, random_multicomponent
 from repro.service import AdmissionService, recover_service
 from repro.store import AnalysisStore
@@ -233,6 +245,66 @@ def run_recovery(work_dir: str, quick: bool = False) -> dict:
     }
 
 
+def run_checkpointed_recovery(work_dir: str, quick: bool = False) -> dict:
+    """Store reads and latency of a recovery after a checkpoint."""
+    cfg = RECOVERY["quick" if quick else "full"]
+    net = random_multicomponent(SEED, cfg["n_components"],
+                                cfg["servers_per_component"],
+                                cfg["flows_per_component"])
+    picks = random.Random(13).sample(sorted(net.flows), cfg["history"] + 1)
+    history, tail = picks[:-1], picks[-1]
+    base = net
+    for name in picks:
+        base = base.without_flow(name)
+    work = Path(work_dir)
+
+    # the crashed process: a history, a checkpoint, one more admission
+    with AnalysisStore(work / "store") as store:
+        svc = AdmissionService(base, DecomposedAnalysis(),
+                               journal_dir=work / "journal", store=store)
+        for name in history:
+            assert svc.admit(_request(net.flows[name])).admitted
+        svc.checkpoint()
+        snapshot = svc.network
+        assert svc.admit(_request(net.flows[tail])).admitted
+        candidate = svc.network
+        svc.journal.close()
+    cone = affected_cone(snapshot, candidate, [net.flows[tail]])
+    active = candidate.active_servers()
+    cone_servers = sum(sid in active for sid in cone)
+
+    times: list[float] = []
+    reads: list[int] = []
+    mismatches: list[str] = []
+    for rep in range(cfg["reps"]):
+        copy = work / f"ckpt-{rep}"
+        shutil.copytree(work / "journal", copy / "journal")
+        shutil.copytree(work / "store", copy / "store")
+        with AnalysisStore(copy / "store") as store:
+            gets = store.stats.hits + store.stats.misses
+            t0 = time.perf_counter()
+            try:
+                svc = recover_service(copy / "journal", store=store)
+            except RecoveryError as exc:  # a bound did not re-verify
+                mismatches.append(f"checkpoint rep {rep}: {exc}")
+                continue
+            times.append(time.perf_counter() - t0)
+            reads.append(store.stats.hits + store.stats.misses - gets)
+            svc.close()
+        shutil.rmtree(copy)
+
+    worst = max(reads, default=0)
+    return {
+        "checkpoint_recovery_reps": len(times),
+        "checkpoint_recovery_s": (statistics.median(times)
+                                  if times else math.nan),
+        "checkpoint_recovery_store_reads": worst,
+        "checkpoint_recovery_cone_servers": cone_servers,
+        "checkpoint_recovery_excess_reads": worst - cone_servers,
+        "checkpoint_recovery_mismatches": mismatches[:20],
+    }
+
+
 # ----------------------------------------------------------------------
 # pytest entry points
 # ----------------------------------------------------------------------
@@ -251,6 +323,13 @@ def test_admissions_after_recovery_bit_identical(tmp_path):
     assert result["recovery_reps"] == RECOVERY["quick"]["reps"]
 
 
+def test_recovery_after_a_checkpoint_reads_its_cone(tmp_path):
+    result = run_checkpointed_recovery(str(tmp_path), quick=True)
+    assert result["checkpoint_recovery_mismatches"] == []
+    assert result["checkpoint_recovery_reps"] == RECOVERY["quick"]["reps"]
+    assert result["checkpoint_recovery_excess_reads"] <= 1
+
+
 # ----------------------------------------------------------------------
 # standalone entry point
 # ----------------------------------------------------------------------
@@ -266,6 +345,8 @@ def main() -> int:
         result = run_bench(d, quick=quick)
     with tempfile.TemporaryDirectory(prefix="repro-bench-recovery-") as d:
         result.update(run_recovery(d, quick=quick))
+    with tempfile.TemporaryDirectory(prefix="repro-bench-recovery-") as d:
+        result.update(run_checkpointed_recovery(d, quick=quick))
 
     out = write_artifact("store", result)
     size = "quick" if quick else "full"
@@ -280,9 +361,16 @@ def main() -> int:
           f"{result['recovery_second_admit_s'] * 1e3:.2f} ms (median of "
           f"{result['recovery_reps']}) — "
           f"{result['recovery_first_second_ratio']:.2f}x")
+    print(f"BENCH-STORE recovery after a checkpoint: "
+          f"{result['checkpoint_recovery_s'] * 1e3:.2f} ms (median of "
+          f"{result['checkpoint_recovery_reps']}), "
+          f"{result['checkpoint_recovery_store_reads']} store read(s) for "
+          f"a cone of {result['checkpoint_recovery_cone_servers']} "
+          f"server(s)")
 
     rc = 0
-    for m in result["mismatches"] + result["recovery_mismatches"]:
+    for m in (result["mismatches"] + result["recovery_mismatches"]
+              + result["checkpoint_recovery_mismatches"]):
         print(f"MISMATCH: {m}", file=sys.stderr)
         rc = 1
     if result["warm_cold_computes"]:

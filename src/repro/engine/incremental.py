@@ -72,12 +72,12 @@ from repro.core.fifo_family import SOLVER_VERSION as FAMILY_SOLVER_VERSION
 from repro.curves.kernels import current_kernel
 from repro.engine.depgraph import affected_cone
 from repro.engine.stats import EngineStats
-from repro.errors import EngineError, StoreError
+from repro.errors import EngineError, StoreError, TopologyError
 from repro.network.flow import Flow
 from repro.network.topology import Network
 from repro.servers.base import LocalAnalysis
 from repro.store import AnalysisStore
-from repro.utils.hashing import stable_digest
+from repro.utils.hashing import encode_flow, encode_source, stable_digest
 
 __all__ = [
     "IncrementalEngine",
@@ -105,8 +105,8 @@ def _server_key(si: ServerInput) -> bytes:
     parts: list[object] = ["step", si.capacity, si.discipline, si.capped,
                            si.kernel]
     for fa in si.flows:
-        parts.extend((fa.name, fa.has_next, fa.priority, fa.rho,
-                      fa.curve.key_part()))
+        parts.append(encode_flow(fa.name, fa.has_next, fa.priority, fa.rho))
+        parts.append(fa.curve.key_part())
     return stable_digest(*parts)
 
 
@@ -120,8 +120,41 @@ def _block_key(bi: BlockInput) -> bytes:
                            bi.disciplines, bi.use_family_kernel,
                            bi.kernel, FAMILY_SOLVER_VERSION]
     for fa in bi.flows:
-        parts.extend((fa.name, fa.role, fa.has_next, fa.priority, fa.rho,
-                      fa.curve.key_part()))
+        parts.append(encode_flow(fa.name, fa.has_next, fa.priority, fa.rho,
+                                 role=fa.role))
+        parts.append(fa.curve.key_part())
+    return stable_digest(*parts)
+
+
+#: Version of the sweep record's key and layout: bump it when either
+#: changes, so a record of another layout is never read as this one.
+SWEEP_RECORD_VERSION = "sweep-v1"
+
+
+def _sweep_key(network: Network, fingerprint: tuple,
+               blocks: tuple | None) -> bytes:
+    """Content digest of everything that reaches a step of a complete
+    sweep over *network*.
+
+    Covers the server ids, capacities and disciplines in network order,
+    each flow's name, bucket, path and priority in name order, the
+    engine *fingerprint* (analyzer, its flags and the curve kernel),
+    the θ-family solver version and the record version.  *blocks* is
+    the Integrated partition: which flow a :class:`~repro.core.
+    partition.PairAlongPath` pairs along can depend on the order flows
+    were added in, which the flow fields do not show.  Built from those
+    fields alone, without any curve.
+    """
+    parts: list[object] = ["sweep", SWEEP_RECORD_VERSION, fingerprint,
+                           FAMILY_SOLVER_VERSION, network.allow_cycles,
+                           blocks, len(network.servers)]
+    for sid, spec in network.servers.items():
+        parts += (sid, spec.capacity, spec.discipline)
+    parts.append(len(network.flows))
+    for f in network.iter_flows():
+        b = f.bucket
+        parts.append(encode_source(f.name, b.sigma, b.rho, b.peak,
+                                   f.priority, f.path))
     return stable_digest(*parts)
 
 
@@ -411,8 +444,8 @@ class IncrementalEngine(Analyzer):
 
         A ``None`` cone means "everything dirty, nothing structurally
         comparable" (first query, changed analyzer config, changed
-        server set); fast reuse is disabled and only the content cache
-        applies.
+        server set, an Integrated partition that moved); fast reuse is
+        disabled and only the content cache applies.
         """
         if memo is None or memo.fingerprint != fingerprint:
             return None, {}, []
@@ -421,8 +454,33 @@ class IncrementalEngine(Analyzer):
             return None, {}, []
         if not changed:
             return set(), memo.outcomes, changed
+        if self._mode == "integrated" and self._partition_moved(memo,
+                                                                network):
+            return None, {}, []
         cone = affected_cone(memo.network, network, changed)
         return cone, memo.outcomes, changed
+
+    def _partition_moved(self, memo: _SweepMemo, network: Network) -> bool:
+        """True when *network* partitions into other blocks than the
+        memo's sweep did.
+
+        A flow edit can move the pairing far from the flows it touched
+        (:class:`~repro.core.partition.PairAlongPath` pairs along the
+        longest flow), and a block downstream of a re-paired one then
+        receives other input curves although it lies outside the cone.
+        """
+        try:
+            blocks = self._blocks(network)
+        except (ValueError, TopologyError):
+            return True  # the analysis itself reports the problem
+        return blocks != memo.report.meta.get("partition")
+
+    def _blocks(self, network: Network) -> tuple | None:
+        """The Integrated partition's blocks of *network*; None for
+        Decomposed, which has no partition."""
+        if self._mode != "integrated":
+            return None
+        return self._analyzer.strategy.partition(network).blocks
 
     def _replay(self, memo: _SweepMemo, sweep: _SweepMemo,
                 cone: set[ServerId], changed: list[Flow],
@@ -510,8 +568,9 @@ class IncrementalEngine(Analyzer):
         return value
 
     def _persist(self, key: bytes, value: object, dt: float,
-                 ctx: AnalysisContext) -> None:
-        """Best-effort store write; never fails the analysis path.
+                 ctx: AnalysisContext) -> bool:
+        """Best-effort store write, True when written; never fails the
+        analysis path.
 
         Read-only stores (pool workers) skip silently — their fresh
         entries travel back to the parent as seed records instead.
@@ -520,12 +579,14 @@ class IncrementalEngine(Analyzer):
         depends on it.
         """
         if self._store is None or self._store.read_only:
-            return
+            return False
         try:
             if self._store.put(key, value, dt):
                 ctx.count("store.writes")
+                return True
         except (StoreError, OSError):
             ctx.count("store.write_errors")
+        return False
 
     def _make_block_step(self, cone, reusable, outcomes,
                          ctx: AnalysisContext):
@@ -561,3 +622,77 @@ class IncrementalEngine(Analyzer):
                 added += 1
             self._persist(key, value, dt, NULL_CONTEXT)
         return added
+
+    # ------------------------------------------------------------------
+    # checkpointed sweeps
+    # ------------------------------------------------------------------
+
+    def _sweep_key(self, network: Network,
+                   fingerprint: tuple) -> bytes | None:
+        """:func:`_sweep_key` of *network*, or None when it has none (a
+        server id the key cannot encode, a network with no partition)."""
+        try:
+            return _sweep_key(network, fingerprint, self._blocks(network))
+        except (TypeError, ValueError, TopologyError):
+            return None
+
+    def save_sweep(self, network: Network, *,
+                   ctx: AnalysisContext = NULL_CONTEXT) -> bool:
+        """Persist the memo's complete sweep of *network* as one store
+        record; True when written.
+
+        The record holds every sweep unit's result with its compute
+        time, and the report: what :meth:`load_sweep` needs to make a
+        later query over an equal network cost only its change.  Writes
+        nothing unless the memo is a sweep of *network* itself and the
+        store is writable; like every store write it is best effort.
+        """
+        memo = self._memo
+        if (self._store is None or self._store.read_only or memo is None
+                or memo.network.version != network.version):
+            return False
+        key = self._sweep_key(network, memo.fingerprint)
+        if key is None:
+            return False
+        value = (SWEEP_RECORD_VERSION, self._mode, memo.outcomes,
+                 memo.report)
+        return self._persist(key, value,
+                             sum(map(_cost, memo.outcomes.values())), ctx)
+
+    def load_sweep(self, network: Network, *,
+                   ctx: AnalysisContext = NULL_CONTEXT) -> bool:
+        """Seed the memo with the stored sweep of *network*; True when
+        seeded.
+
+        The next query over a network derived from *network* by a flow
+        edit then plans from the edit records and steps only its cone,
+        as if this engine had analyzed *network* itself.  A missing,
+        unreadable or other-version record leaves the engine as it was.
+        The record's key covers everything that reaches a step
+        (:func:`_sweep_key`), so a seeded memo replays exactly what a
+        sweep of *network* would compute.
+        """
+        if (self._store is None or self._mode is None
+                or not network.is_feedforward):
+            return False
+        fingerprint = self._fingerprint(ctx)
+        key = self._sweep_key(network, fingerprint)
+        stored = None if key is None else self._store.get(key)
+        if stored is None:
+            return False
+        record = stored.value
+        if (type(record) is not tuple or len(record) != 4
+                or record[:2] != (SWEEP_RECORD_VERSION, self._mode)
+                or type(record[2]) is not dict
+                or not isinstance(record[3], DelayReport)):
+            return False
+        memo = _SweepMemo(network, fingerprint, record[2],
+                          report=record[3])
+        if self._mode == "decomposed":
+            memo.steps = {unit[1]: rec[0]
+                          for unit, rec in memo.outcomes.items()}
+            memo.local = {sid: step.local
+                          for sid, step in memo.steps.items()}
+        self._memo = memo
+        ctx.count("engine.sweep_loads")
+        return True

@@ -98,10 +98,15 @@ class Journal:
         the highest on disk).  Without it, a directory that already
         contains journal state raises :class:`JournalError` instead of
         silently clobbering the previous service's history.
+
+    Recovery, which has just read the journal, passes the highest
+    sequence number it saw as the internal ``_last_seq`` keyword, so
+    a resumed journal does not parse the directory a second time.
     """
 
     def __init__(self, directory: str | Path, *,
-                 resume: bool = False) -> None:
+                 resume: bool = False,
+                 _last_seq: int | None = None) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._journal_path = self.directory / JOURNAL_FILE
@@ -114,7 +119,9 @@ class Journal:
                 "resume=True (repro recover) to continue it or choose "
                 "a fresh directory")
         self._seq = 0
-        if resume and existing:
+        if resume and existing and _last_seq is not None:
+            self._seq = int(_last_seq)
+        elif resume and existing:
             snapshot, records, _ = load_journal(self.directory)
             if snapshot is not None:
                 self._seq = int(snapshot.get("seq", 0))

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.admission.controller import AdmissionController
+from repro.admission.requests import ConnectionRequest
 from repro.analysis.base import Analyzer
 from repro.analysis.registry import ANALYZERS
 from repro.context import NULL_CONTEXT, AnalysisContext
@@ -96,6 +97,44 @@ class RecoveredState:
     snapshot: dict | None = field(default=None, repr=False)
 
 
+def _apply(network: Network, admitted: list[str], rec: dict,
+           ) -> tuple[Network, ConnectionRequest | None]:
+    """Apply one journal record to *network* and *admitted* (in place).
+
+    Returns the network after the record and, for an admit that added
+    its flow, the admitted request.  Idempotent: an admit whose flow
+    is already present and a release whose flow is gone change nothing
+    but the admitted list; both return the request as None.
+    """
+    op = rec.get("op")
+    seq = int(rec.get("seq", 0))
+    if op == "base":
+        # a resumed journal may re-journal nothing; a second base
+        # record is meaningless mid-history
+        raise RecoveryError(
+            f"unexpected base record mid-journal (seq {seq})")
+    if op == "admit":
+        try:
+            request = request_from_record(rec["request"])
+        except (KeyError, JournalError) as exc:
+            raise RecoveryError(
+                f"unreplayable admit record (seq {seq}): {exc}") from exc
+        if request.name not in admitted:
+            admitted.append(request.name)
+        if request.name in network.flows:
+            return network, None  # idempotent: already applied
+        flow = AdmissionController._flow_from_request(request)
+        return network.with_flow(flow), request
+    if op == "release":
+        name = rec.get("flow")
+        if name in admitted:
+            admitted.remove(name)
+        if name not in network.flows:
+            return network, None  # idempotent: double release
+        return network.without_flow(name), None
+    raise RecoveryError(f"unknown journal op {op!r} (seq {seq})")
+
+
 def recover_state(directory: str | Path) -> RecoveredState:
     """Structurally replay a journal directory (no re-analysis).
 
@@ -111,7 +150,7 @@ def recover_state(directory: str | Path) -> RecoveredState:
             admitted = list(snapshot.get("admitted", []))
             analyzer_name = str(snapshot.get("analyzer", "integrated"))
             kernel = str(snapshot.get("kernel", ""))
-            snapshot_seq = int(snapshot.get("seq", 0))
+            snapshot_seq = last_seq = int(snapshot.get("seq", 0))
         except (KeyError, TypeError, ValueError) as exc:
             raise RecoveryError(f"malformed snapshot: {exc}") from exc
     else:
@@ -122,6 +161,7 @@ def recover_state(directory: str | Path) -> RecoveredState:
         base = records[0]
         try:
             base_network = network_from_dict(base["network"])
+            last_seq = int(base.get("seq", 0))
         except (KeyError, TypeError, ValueError) as exc:
             raise RecoveryError(f"malformed base record: {exc}") from exc
         analyzer_name = str(base.get("analyzer", "integrated"))
@@ -136,47 +176,15 @@ def recover_state(directory: str | Path) -> RecoveredState:
         kernel = "exact"
 
     network = base_network
-    last_seq = snapshot_seq
     replayed = skipped = 0
     for rec in records:
-        op = rec.get("op")
-        seq = int(rec.get("seq", 0))
-        last_seq = max(last_seq, seq)
-        if op == "base":
-            # a resumed journal may re-journal nothing; a second base
-            # record is meaningless mid-history
-            raise RecoveryError(
-                f"unexpected base record mid-journal (seq {seq})")
-        if op == "admit":
-            try:
-                request = request_from_record(rec["request"])
-            except (KeyError, JournalError) as exc:
-                raise RecoveryError(
-                    f"unreplayable admit record (seq {seq}): "
-                    f"{exc}") from exc
-            if request.name in network.flows:
-                skipped += 1  # idempotent: already applied
-                if request.name not in admitted:
-                    admitted.append(request.name)
-                continue
-            flow = AdmissionController._flow_from_request(request)
-            network = network.with_flow(flow)
-            admitted.append(request.name)
-            replayed += 1
-        elif op == "release":
-            name = rec.get("flow")
-            if name not in network.flows:
-                skipped += 1  # idempotent: double release
-                if name in admitted:
-                    admitted.remove(name)
-                continue
-            network = network.without_flow(name)
-            if name in admitted:
-                admitted.remove(name)
-            replayed += 1
+        last_seq = max(last_seq, int(rec.get("seq", 0)))
+        after, _ = _apply(network, admitted, rec)
+        if after is network:
+            skipped += 1
         else:
-            raise RecoveryError(
-                f"unknown journal op {op!r} (seq {seq})")
+            replayed += 1
+        network = after
 
     return RecoveredState(
         network=network, admitted=tuple(admitted),
@@ -202,6 +210,11 @@ class RecoveryReport:
     #: engine (memo included) where a store was given
     analyzers: dict[str, Analyzer] = field(default_factory=dict,
                                            repr=False, compare=False)
+    #: the network and admitted set the verification walk ended on
+    network: Network | None = field(default=None, repr=False,
+                                    compare=False)
+    admitted: tuple[str, ...] = field(default=(), repr=False,
+                                      compare=False)
 
     @property
     def ok(self) -> bool:
@@ -238,7 +251,15 @@ def verify_recovery(source: str | Path | RecoveredState, *,
     The ``float.hex`` comparison is unchanged — every bound, however
     served, is still checked bit-for-bit against the journal, so a
     stale or corrupted store can only slow verification down (miss →
-    recompute), never let a wrong bound through.
+    recompute), never let a wrong bound through.  Each engine first
+    loads the stored sweep of the state's starting network
+    (:meth:`~repro.engine.IncrementalEngine.load_sweep`), which the
+    service wrote at its last checkpoint, so the first admission
+    checked costs its cone instead of a pass over every server.  When
+    the journal holds no admission after that network, the sweep is
+    not loaded: the only bounds left to check are the snapshot's own,
+    and checking them against the record that produced them would
+    compare a value with its copy; a full sweep checks them instead.
 
     Re-analysis runs under the **journaled curve kernel**: bounds
     recorded under the grid backend cannot be reproduced bit-for-bit
@@ -267,6 +288,10 @@ def verify_recovery(source: str | Path | RecoveredState, *,
             ctx = AnalysisContext(kernel=effective)
 
     analyzers: dict[str, Analyzer] = {}
+    seed = None
+    if store is not None and any(rec.get("op") == "admit"
+                                 for rec in state.records):
+        seed = state.base_network
 
     def analyzer_for(name: str) -> Analyzer:
         name = _cold_name(name)
@@ -276,6 +301,8 @@ def verify_recovery(source: str | Path | RecoveredState, *,
                 engine = IncrementalEngine(resolved, store=store)
                 if engine.supports_incremental:
                     resolved = engine
+                    if seed is not None:
+                        engine.load_sweep(seed, ctx=ctx)
             analyzers[name] = resolved
         return analyzers[name]
 
@@ -284,15 +311,12 @@ def verify_recovery(source: str | Path | RecoveredState, *,
 
     # -- step-by-step: each admit's bound on its candidate network -----
     network = state.base_network
+    admitted = list(state.snapshot.get("admitted", [])
+                    if state.snapshot is not None else ())
     for rec in state.records:
-        op = rec.get("op")
-        seq = int(rec.get("seq", 0))
-        if op == "admit":
-            request = request_from_record(rec["request"])
-            flow = AdmissionController._flow_from_request(request)
-            if request.name in network.flows:
-                continue  # idempotent skip: no journaled bound to check
-            network = network.with_flow(flow)
+        network, request = _apply(network, admitted, rec)
+        if request is not None:
+            seq = int(rec.get("seq", 0))
             expected_hex = rec.get("bound_hex")
             verify_name = rec.get("verify_analyzer") or rec.get("analyzer")
             if expected_hex is None or verify_name is None:
@@ -312,10 +336,6 @@ def verify_recovery(source: str | Path | RecoveredState, *,
                     f"seq {seq} flow {request.name!r} ({verify_name}): "
                     f"journaled {float.fromhex(expected_hex)!r} != "
                     f"re-analyzed {got!r}")
-        elif op == "release":
-            name = rec.get("flow")
-            if name in network.flows:
-                network = network.without_flow(name)
 
     # -- snapshot bounds, when the snapshot is the newest state --------
     final_bounds: dict[str, float] = {}
@@ -346,7 +366,8 @@ def verify_recovery(source: str | Path | RecoveredState, *,
                         f"re-analyzed {got!r}")
 
     return RecoveryReport(checked=checked, mismatches=tuple(mismatches),
-                          final_bounds=final_bounds, analyzers=analyzers)
+                          final_bounds=final_bounds, analyzers=analyzers,
+                          network=network, admitted=tuple(admitted))
 
 
 def recover_service(directory: str | Path, *,
@@ -379,6 +400,9 @@ def recover_service(directory: str | Path, *,
     ``incremental=False`` asks for another primary, the service is
     handed that engine, memo included: its first query replays the
     verified network instead of keying and reading every server again.
+    When verification ran, the service starts on the network it ended
+    on (equal to the replayed one, flow names and admitted set
+    checked), whose edit records lead back to that memo.
     """
     from repro.service.service import AdmissionService
 
@@ -390,6 +414,7 @@ def recover_service(directory: str | Path, *,
             "bounds from two kernels in one journal — rerun without "
             f"--kernel or with --kernel {state.kernel}")
     primary = analyzer
+    network = state.network
     if verify:
         report = verify_recovery(state, kernel=kernel, store=store,
                                  ctx=ctx)
@@ -401,9 +426,14 @@ def recover_service(directory: str | Path, *,
         if (primary is None and isinstance(engine, IncrementalEngine)
                 and service_kwargs.get("incremental", True)):
             primary = engine  # its memo holds the verified network
+        flows = report.network.flows
+        if (report.admitted == state.admitted
+                and flows.keys() == state.network.flows.keys()):
+            # both walked the same records from the same base network
+            network = report.network
     if primary is None:
         primary = resolve_analyzer(state.analyzer_name)
     return AdmissionService(
-        state.network, primary, journal_dir=directory, resume=True,
+        network, primary, journal_dir=directory, resume=True,
         admitted=state.admitted, kernel=state.kernel or kernel,
-        store=store, ctx=ctx, **service_kwargs)
+        store=store, ctx=ctx, _resume_seq=state.last_seq, **service_kwargs)

@@ -158,6 +158,10 @@ class AdmissionService:
         its metrics registry.
     clock:
         Monotonic time source for the breakers (injectable in tests).
+
+    Recovery passes the replayed journal's last sequence number as the
+    internal ``_resume_seq`` keyword (see
+    :class:`~repro.service.journal.Journal`).
     """
 
     def __init__(self, network: Network, analyzer: Analyzer, *,
@@ -175,7 +179,8 @@ class AdmissionService:
                  kernel: str | None = None,
                  store=None,
                  ctx: AnalysisContext = NULL_CONTEXT,
-                 clock: Callable[[], float] = time.monotonic) -> None:
+                 clock: Callable[[], float] = time.monotonic,
+                 _resume_seq: int | None = None) -> None:
         if snapshot_every < 1:
             raise ServiceError(
                 f"snapshot_every must be >= 1, got {snapshot_every}")
@@ -264,7 +269,8 @@ class AdmissionService:
         #: arithmetic (ctx selection wins over the ambient default)
         self._kernel = kernel or (ctx.kernel if ctx.kernel is not None
                                   else current_kernel())
-        self._journal = Journal(journal_dir, resume=resume)
+        self._journal = Journal(journal_dir, resume=resume,
+                                _last_seq=_resume_seq)
         if not resume:
             self._journal.write_base(self._controller.network,
                                      analyzer=self._primary_name,
@@ -559,11 +565,19 @@ class AdmissionService:
             self.checkpoint()
 
     def checkpoint(self) -> None:
-        """Force a snapshot + journal rotation now."""
+        """Force a snapshot + journal rotation now.
+
+        With a store, the engine's sweep of the snapshot network lands
+        in it first as one record, from which recovery's first query
+        starts (:meth:`~repro.engine.IncrementalEngine.save_sweep`).
+        """
         self._require_open()
+        bounds = self._current_bounds()
+        if bounds is not None and self._engine is not None:
+            self._engine.save_sweep(self.network, ctx=self._ctx)
         self._journal.snapshot(
             self.network, list(self._controller.admitted),
-            analyzer=self._primary_name, bounds=self._current_bounds(),
+            analyzer=self._primary_name, bounds=bounds,
             kernel=self._kernel)
         self._ops_since_snapshot = 0
         self._ctx.count("service.snapshots")

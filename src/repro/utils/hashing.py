@@ -20,7 +20,8 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["stable_digest", "digest_update", "Encoded", "encode_curve"]
+__all__ = ["stable_digest", "digest_update", "Encoded", "encode_curve",
+           "encode_flow", "encode_source"]
 
 # A type tag byte followed by a little-endian float64 / int64 (the
 # value itself, or a length header), packed in one call.
@@ -53,6 +54,77 @@ def encode_curve(xs: list, ys: list, final_slope: float) -> Encoded:
     n = len(xs)
     return Encoded(_pack(f"<cq{n}dcq{n}dcd", b"a", 8 * n, *xs,
                          b"a", 8 * n, *ys, b"f", final_slope))
+
+
+_INT_FLOAT = struct.Struct("<cqcd").pack
+_THREE_FLOATS_INT = struct.Struct("<cdcdcdcq").pack
+
+
+def _encoded(values: tuple) -> Encoded:
+    """The generic encoding of each of *values*, as one chunk."""
+    out: list = []
+    for value in values:
+        _encode(value, out)
+    return Encoded(b"".join(out))
+
+
+def encode_flow(name: str, has_next: bool, priority: int, rho: float, *,
+                role: str | None = None) -> Encoded:
+    """The encoding of ``name, role, has_next, priority, rho``.
+
+    The values a content key records for one flow, in that order
+    (*role* only when given), as one chunk: the bytes feeding them to
+    :func:`stable_digest` one by one appends.  Packed in one pass when
+    the name and role are exact ``str``, *has_next* a ``bool``,
+    *priority* an ``int`` within int64 and *rho* a ``float``; any other
+    value goes through the generic encoding.
+    """
+    if (type(name) is str and type(has_next) is bool
+            and type(priority) is int and type(rho) is float
+            and (role is None or type(role) is str)):
+        data = name.encode("utf-8")
+        head = _TAGGED_INT(b"s", len(data)) + data
+        if role is not None:
+            data = role.encode("utf-8")
+            head += _TAGGED_INT(b"s", len(data)) + data
+        try:
+            return Encoded(head + (b"b1" if has_next else b"b0")
+                           + _INT_FLOAT(b"i", priority, b"f", rho))
+        except struct.error:  # priority beyond int64
+            pass
+    return _encoded((name, has_next, priority, rho) if role is None
+                    else (name, role, has_next, priority, rho))
+
+
+def encode_source(name: str, sigma: float, rho: float, peak: float,
+                  priority: int, path: tuple) -> Encoded:
+    """The encoding of ``name, sigma, rho, peak, priority, path``.
+
+    A flow's fields as it enters the network, as one chunk: the bytes
+    feeding them to :func:`stable_digest` one by one appends.  Packed
+    in one pass when the name is an exact ``str``, the bucket values
+    ``float``, and the priority and every server id on the *path* an
+    ``int`` within int64; any other value goes through the generic
+    encoding.
+    """
+    if (type(name) is str and type(sigma) is float and type(rho) is float
+            and type(peak) is float and type(priority) is int
+            and type(path) is tuple):
+        data = name.encode("utf-8")
+        try:
+            out = [_TAGGED_INT(b"s", len(data)), data,
+                   _THREE_FLOATS_INT(b"f", sigma, b"f", rho, b"f", peak,
+                                     b"i", priority), b"("]
+            for sid in path:
+                if type(sid) is not int:
+                    break
+                out.append(_TAGGED_INT(b"i", sid))
+            else:
+                out.append(b")")
+                return Encoded(b"".join(out))
+        except struct.error:  # an int beyond int64
+            pass
+    return _encoded((name, sigma, rho, peak, priority, path))
 
 
 def _encode(obj, out: list) -> None:

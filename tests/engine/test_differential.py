@@ -24,6 +24,7 @@ from repro.engine import (
 from repro.errors import AnalysisError, InstabilityError
 from repro.network.flow import Flow
 from repro.network.generators import random_feedforward
+from repro.network.topology import Network, ServerSpec
 
 
 def random_ops(rng, base, n_ops, max_extra=8):
@@ -102,3 +103,25 @@ def test_integrated_differential(seed):
 def test_capped_decomposed_differential():
     run_differential(lambda: DecomposedAnalysis(capped_propagation=True),
                      seed=5)
+
+
+def test_integrated_partition_moving_off_the_cone():
+    # admitting the longest flow moves PairAlongPath's pairing from
+    # 1 -> 2 to 6 -> 7 -> 8 -> 9; server 3, outside the new flow's cone,
+    # then receives flow a's curve from two singletons instead of a pair
+    servers = [ServerSpec(k) for k in range(1, 10)]
+    net = Network(servers, [
+        Flow("a", TokenBucket(2.0, 0.2), (1, 2, 3)),
+        Flow("e1", TokenBucket(3.0, 0.3), (1,)),
+        Flow("e2", TokenBucket(3.0, 0.3), (2,)),
+        Flow("d", TokenBucket(1.0, 0.2), (3, 5)),
+        Flow("x", TokenBucket(1.0, 0.1), (6, 7))])
+    engine = IncrementalEngine(IntegratedAnalysis())
+    engine.analyze(net)
+    for candidate in (
+            net.with_flow(Flow("c", TokenBucket(1.0, 0.1), (6, 7, 8, 9))),
+            net):  # and back
+        got = engine.analyze(candidate)
+        want = IntegratedAnalysis().analyze(candidate)
+        assert reports_identical(got, want), describe_report_difference(
+            got, want)

@@ -196,17 +196,20 @@ class TestBitIdenticalVerification:
 
 
 def count_journal_loads(monkeypatch) -> list:
-    """Count ``load_journal`` calls made through the recovery module."""
+    """Count ``load_journal`` calls made through the recovery module and
+    through the journal module (a resumed ``Journal``)."""
+    import repro.service.journal as journal
     import repro.service.recovery as recovery
 
     calls: list = []
-    original = recovery.load_journal
+    for module in (recovery, journal):
+        original = module.load_journal
 
-    def counting(directory):
-        calls.append(directory)
-        return original(directory)
+        def counting(directory, original=original):
+            calls.append(directory)
+            return original(directory)
 
-    monkeypatch.setattr(recovery, "load_journal", counting)
+        monkeypatch.setattr(module, "load_journal", counting)
     return calls
 
 
