@@ -30,7 +30,6 @@ import time
 
 from repro.analysis.decomposed import DecomposedAnalysis
 from repro.analysis.service_curve import ServiceCurveAnalysis
-from repro.context import AnalysisContext
 from repro.core.integrated import IntegratedAnalysis
 from repro.curves.kernels import use_kernel
 from repro.curves.operations import convolve, deconvolve
@@ -109,8 +108,9 @@ def _deconv_agreement(quick: bool) -> dict:
     worst_pad = 0.0
     for _, srv in pairs:
         arr = PiecewiseLinearCurve.affine(2.0, 0.2)
-        exact = deconvolve(arr, srv, kernel="exact")
-        grid = deconvolve(arr, srv, kernel="grid")
+        exact = deconvolve(arr, srv)
+        with use_kernel("grid"):
+            grid = deconvolve(arr, srv)
         worst_pad = max(worst_pad, float(grid(0.0) - exact(0.0)))
     return {"operation": "deconvolve", "worst_burst_pad": worst_pad}
 
@@ -125,8 +125,8 @@ def _sweep_tightness(quick: bool) -> list[dict]:
                 net = build_tandem(hops, float(load), sweep.sigma)
                 bounds = {}
                 for kernel in ("exact", "grid"):
-                    ctx = AnalysisContext(kernel=kernel)
-                    report = analyzer.analyze(net, ctx=ctx)
+                    with use_kernel(kernel):
+                        report = analyzer.analyze(net)
                     bounds[kernel] = report.delay_of(CONNECTION0)
                 rows.append({
                     "analyzer": name,

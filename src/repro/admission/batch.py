@@ -41,7 +41,6 @@ from repro.admission.controller import AdmissionController
 from repro.admission.requests import AdmissionDecision, ConnectionRequest
 from repro.analysis.decomposed import DecomposedAnalysis
 from repro.context import AnalysisContext, MetricsRegistry
-from repro.curves.kernels import current_kernel
 from repro.engine.parallel import (
     merge_worker_metrics,
     open_worker_store,
@@ -76,9 +75,9 @@ def _admit_group(payload: tuple) -> dict:
     with ``ok=False`` so the driver re-runs it through the fallback
     chain.
     """
-    subnet, items, capped, kernel, budget, want_records, store_path = payload
+    subnet, items, capped, budget, want_records, store_path = payload
     metrics = MetricsRegistry()
-    ctx = AnalysisContext(metrics=metrics, kernel=kernel)
+    ctx = AnalysisContext(metrics=metrics)
     records: dict = {}
     store = open_worker_store(store_path)
     if want_records or store is not None:
@@ -226,7 +225,6 @@ def plan_batch(controller: AdmissionController,
         return None
 
     # -- evaluate groups on the pool -----------------------------------
-    kernel = ctx.kernel if ctx.kernel is not None else current_kernel()
     store = controller.store
     store_path = str(store.path) if store is not None else None
     want_records = controller.engine is not None or store is not None
@@ -236,7 +234,7 @@ def plan_batch(controller: AdmissionController,
         keep = {sid for sid in network.servers
                 if uf.find(comp_of[sid]) in roots}
         payloads.append((subnetwork(network, keep), items,
-                         base.capped_propagation, kernel,
+                         base.capped_propagation,
                          controller._budget, want_records, store_path))
 
     ctx.count("parallel.batch_groups", len(groups))

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping
 
 from repro.context import NULL_CONTEXT, AnalysisContext
-from repro.curves.kernels import current_kernel, use_kernel
+from repro.curves.kernels import current_kernel
 from repro.curves.piecewise import PiecewiseLinearCurve
 from repro.errors import AnalysisError
 from repro.network.topology import Discipline, Network
@@ -98,11 +98,11 @@ class FlowAtServer:
 class ServerInput:
     """Everything that determines one server's local analysis step.
 
-    ``kernel`` is the curve kernel the step runs under (captured at
-    build time from the thread's active selection): it is part of the
-    step's mathematical input — the grid backend's padded bounds differ
-    from the exact ones — so it participates in the incremental
-    engine's content keys and exact/grid results never alias.
+    ``kernel`` is the curve kernel the input was built under (the
+    thread's :func:`~repro.curves.kernels.current_kernel`): the grid
+    scope's padded bounds differ from the exact ones, so it
+    participates in the incremental engine's content keys and
+    exact/grid results never alias.
     """
 
     capacity: float
@@ -155,26 +155,25 @@ def server_step(si: ServerInput) -> ServerStep:
     Computes the local analysis and, for every flow that continues,
     its output constraint curve (Cruz's ``b(I + d)``, optionally
     intersected with the line rate when ``si.capped``).  Deterministic:
-    identical inputs produce bit-identical outputs — the step activates
-    ``si.kernel`` itself, so a replayed step does not depend on the
-    caller's ambient kernel.
+    identical inputs produce bit-identical outputs.  It runs on the
+    thread's active kernel, which is ``si.kernel``: an input is built
+    and evaluated on one thread.
     """
-    with use_kernel(si.kernel):
-        curves = {fa.name: fa.curve for fa in si.flows}
-        la = _local_analysis(
-            si.capacity, si.discipline, curves,
-            {fa.name: fa.priority for fa in si.flows},
-            {fa.name: fa.rho for fa in si.flows})
-        outs: list[tuple[str, PiecewiseLinearCurve]] = []
-        for fa in si.flows:
-            if not fa.has_next:
-                continue
-            d = la.delay_by_flow[fa.name]
-            if si.capped:
-                out = capped_output_curve(fa.curve, d, si.capacity)
-            else:
-                out = cruz_output_curve(fa.curve, d)
-            outs.append((fa.name, out.simplified()))
+    curves = {fa.name: fa.curve for fa in si.flows}
+    la = _local_analysis(
+        si.capacity, si.discipline, curves,
+        {fa.name: fa.priority for fa in si.flows},
+        {fa.name: fa.rho for fa in si.flows})
+    outs: list[tuple[str, PiecewiseLinearCurve]] = []
+    for fa in si.flows:
+        if not fa.has_next:
+            continue
+        d = la.delay_by_flow[fa.name]
+        if si.capped:
+            out = capped_output_curve(fa.curve, d, si.capacity)
+        else:
+            out = cruz_output_curve(fa.curve, d)
+        outs.append((fa.name, out.simplified()))
     return ServerStep(local=la, out_curves=tuple(outs))
 
 

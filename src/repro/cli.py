@@ -41,8 +41,6 @@ from repro.admission.requests import ConnectionRequest
 from repro.analysis.base import Analyzer
 from repro.analysis.registry import ANALYZERS
 from repro.core.integrated import IntegratedAnalysis
-from repro.curves.kernels import ENV_VAR as KERNEL_ENV_VAR
-from repro.curves.kernels import KERNELS
 from repro.curves.token_bucket import TokenBucket
 from repro.eval.figures import FIGURES
 from repro.eval.tables import render_figure
@@ -80,6 +78,11 @@ def _open_store(path: str | None, *, read_only: bool = False):
         raise SystemExit(f"store: {path}: {exc}") from None
 
 
+def _write_trace(ctx, path: str, **meta) -> None:
+    """Write ``--trace PATH``'s JSON trace of *ctx* and say where."""
+    print(f"wrote trace {ctx.write_trace(path, **meta)}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -88,12 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "(Li/Bettati/Zhao, ICPP 1999)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def kernel_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--kernel", choices=KERNELS, default=None,
-                       help="curve kernel: exact piecewise algebra "
-                            "(default) or sampled grid backend — see "
-                            "docs/KERNELS.md")
-
     def store_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument("--store", default=None, metavar="PATH",
                        help="persistent analysis store directory: "
@@ -101,6 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "across runs (bit-identical to cold "
                             "analysis) and persist fresh ones — see "
                             "docs/STORE.md")
+
+    def trace_arg(p: argparse.ArgumentParser, contents: str) -> None:
+        p.add_argument("--trace", default=None, metavar="FILE",
+                       help="write a structured JSON trace of the run "
+                            f"({contents}) to FILE")
 
     def tandem_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--hops", type=int, default=4,
@@ -148,11 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="engine-backed admission: cache per-hop results "
                         "across tests (bit-identical decisions) and "
                         "print the engine's cache statistics")
-    p.add_argument("--trace", default=None, metavar="FILE",
-                   help="write a structured JSON trace of the run "
-                        "(per-request and per-server spans, curve-op "
-                        "counters, engine cache stats) to FILE")
-    kernel_arg(p)
+    trace_arg(p, "per-request and per-server spans, curve-op "
+                 "counters, engine cache stats")
     store_arg(p)
 
     p = sub.add_parser("export",
@@ -223,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="profile every point (wall-clock + curve-op "
                         "counters per point, kept in checkpoint "
                         "records) and print a per-point timing column")
-    kernel_arg(p)
     store_arg(p)
 
     p = sub.add_parser("serve",
@@ -270,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=16,
                    help="requests per admit_batch when --workers > 1 "
                         "(default 16)")
-    kernel_arg(p)
     store_arg(p)
 
     p = sub.add_parser("loadtest",
@@ -367,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="FILE",
                    help="machine-readable result artifact (default "
                         "BENCH_loadtest.json; '' disables)")
-    kernel_arg(p)
 
     p = sub.add_parser("recover",
                        help="crash recovery: replay a journal "
@@ -378,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "bound re-verification")
     p.add_argument("--show-bounds", action="store_true",
                    help="print the recovered per-flow delay bounds")
-    kernel_arg(p)
     store_arg(p)
 
     p = sub.add_parser("store",
@@ -421,10 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replay", default=None, metavar="FILE",
                    help="replay one saved repro case instead of "
                         "fuzzing")
-    p.add_argument("--trace", default=None, metavar="FILE",
-                   help="write a structured JSON trace of the run "
-                        "(per-seed spans, validate.* counters) to FILE")
-    kernel_arg(p)
+    trace_arg(p, "per-seed spans, validate.* counters")
     return parser
 
 
@@ -524,8 +516,7 @@ def _cmd_admit(args) -> int:
                       "rho": args.rho, "admitted": count}
         if controller.engine_stats is not None:
             meta["engine"] = controller.engine_stats.as_dict()
-        path = ctx.write_trace(args.trace, **meta)
-        print(f"wrote trace {path}")
+        _write_trace(ctx, args.trace, **meta)
     return 0
 
 
@@ -677,7 +668,6 @@ def _start_service(args, store):
         service = recover_service(
             args.journal,
             analyzer=_make_analyzer(args.analyzer),
-            kernel=args.kernel,
             analysis_budget=args.budget,
             incremental=not args.no_incremental,
             snapshot_every=args.snapshot_every,
@@ -698,7 +688,6 @@ def _start_service(args, store):
     return AdmissionService(
         empty, _make_analyzer(args.analyzer),
         journal_dir=args.journal,
-        kernel=args.kernel,
         analysis_budget=args.budget,
         incremental=not args.no_incremental,
         snapshot_every=args.snapshot_every,
@@ -987,8 +976,7 @@ def _cmd_recover(args) -> int:
         return 0
     with _open_store(args.store) as store:
         try:
-            report = verify_recovery(state, kernel=args.kernel,
-                                     store=store)
+            report = verify_recovery(state, store=store)
         except RecoveryError as exc:
             raise SystemExit(f"recover: {exc}") from None
     print(report.render())
@@ -1046,9 +1034,8 @@ def _cmd_validate(args) -> int:
         print("still reproduces" if violations
               else "no longer reproduces")
         if args.trace:
-            path = ctx.write_trace(args.trace, command="validate",
-                                   replay=args.replay)
-            print(f"wrote trace {path}")
+            _write_trace(ctx, args.trace, command="validate",
+                         replay=args.replay)
         return 1 if violations else 0
 
     report = run_validation(
@@ -1059,22 +1046,14 @@ def _cmd_validate(args) -> int:
     if args.out and report.cases:
         print(f"wrote {len(report.cases)} repro case(s) to {args.out}")
     if args.trace:
-        path = ctx.write_trace(args.trace, command="validate",
-                               seeds=len(report.seeds),
-                               violations=len(report.cases))
-        print(f"wrote trace {path}")
+        _write_trace(ctx, args.trace, command="validate",
+                     seeds=len(report.seeds), violations=len(report.cases))
     return 0 if report.ok else 1
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    if getattr(args, "kernel", None) is not None:
-        # Exported (not thread-local) so sweep worker processes and the
-        # admission service's analyzers inherit the same selection.
-        import os
-
-        os.environ[KERNEL_ENV_VAR] = args.kernel
     handlers = {
         "analyze": _cmd_analyze,
         "figures": _cmd_figures,

@@ -33,7 +33,6 @@ from typing import Callable, Iterator
 from repro.context.deadline import Deadline
 from repro.context.metrics import MetricsRegistry, activate_registry
 from repro.context.tracing import Tracer
-from repro.curves.kernels import use_kernel
 
 __all__ = ["AnalysisContext", "NullContext", "NULL_CONTEXT"]
 
@@ -66,19 +65,17 @@ class AnalysisContext:
     without disturbing its own.
     """
 
-    __slots__ = ("deadline", "tracer", "metrics", "kernel",
+    __slots__ = ("deadline", "tracer", "metrics",
                  "step_interceptor", "block_interceptor")
 
     def __init__(self, *, deadline: Deadline | None = None,
                  tracer: Tracer | None = None,
                  metrics: MetricsRegistry | None = None,
-                 kernel: str | None = None,
                  step_interceptor: StepInterceptor | None = None,
                  block_interceptor: BlockInterceptor | None = None) -> None:
         self.deadline = deadline
         self.tracer = tracer
         self.metrics = metrics
-        self.kernel = kernel
         self.step_interceptor = step_interceptor
         self.block_interceptor = block_interceptor
 
@@ -98,21 +95,6 @@ class AnalysisContext:
         """Copy of this context with *deadline* swapped in."""
         return AnalysisContext(
             deadline=deadline, tracer=self.tracer, metrics=self.metrics,
-            kernel=self.kernel,
-            step_interceptor=self.step_interceptor,
-            block_interceptor=self.block_interceptor)
-
-    def with_kernel(self, kernel: str | None) -> "AnalysisContext":
-        """Copy of this context with the curve *kernel* swapped in.
-
-        ``None`` defers to the ambient selection
-        (:func:`repro.curves.kernels.current_kernel`); otherwise every
-        analysis run under this context activates the named kernel for
-        its scope — see ``docs/KERNELS.md``.
-        """
-        return AnalysisContext(
-            deadline=self.deadline, tracer=self.tracer,
-            metrics=self.metrics, kernel=kernel,
             step_interceptor=self.step_interceptor,
             block_interceptor=self.block_interceptor)
 
@@ -122,12 +104,12 @@ class AnalysisContext:
         """Copy with the per-unit interceptors replaced.
 
         The incremental engine derives such a context per query; the
-        observability attributes (deadline/tracer/metrics/kernel) are
+        observability attributes (deadline/tracer/metrics) are
         shared so interception composes with tracing and budgets.
         """
         return AnalysisContext(
             deadline=self.deadline, tracer=self.tracer,
-            metrics=self.metrics, kernel=self.kernel,
+            metrics=self.metrics,
             step_interceptor=step, block_interceptor=block)
 
     # ------------------------------------------------------------------
@@ -168,30 +150,22 @@ class AnalysisContext:
 
     @contextmanager
     def analysis_scope(self, algorithm: str, **attrs) -> Iterator[None]:
-        """Wrap one full analyzer run: root span, metrics, curve kernel.
+        """Wrap one full analyzer run: root span and metrics.
 
         Every :class:`~repro.analysis.base.Analyzer` opens this scope at
         the top of ``analyze`` so curve-kernel op counters land in this
-        context's registry, the context's curve-kernel selection (if
-        any) governs every operation of the run, and the analysis
-        appears as one span.
+        context's registry and the analysis appears as one span.
         """
         self.checkpoint(f"{algorithm} analysis start")
-        if self.tracer is None and self.metrics is None \
-                and self.kernel is None:
-            yield
-            return
-        with use_kernel(self.kernel):
-            if self.tracer is not None:
-                with self.tracer.span("analyze", algorithm=algorithm,
-                                      **attrs):
-                    with activate_registry(self.metrics):
-                        yield
-            elif self.metrics is not None:
+        if self.tracer is not None:
+            with self.tracer.span("analyze", algorithm=algorithm, **attrs):
                 with activate_registry(self.metrics):
                     yield
-            else:
+        elif self.metrics is not None:
+            with activate_registry(self.metrics):
                 yield
+        else:
+            yield
 
     # ------------------------------------------------------------------
     # per-unit execution (the former step=/block_step= hooks)
@@ -279,7 +253,7 @@ class AnalysisContext:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = [name for name, val in (
             ("deadline", self.deadline), ("tracer", self.tracer),
-            ("metrics", self.metrics), ("kernel", self.kernel),
+            ("metrics", self.metrics),
             ("step", self.step_interceptor),
             ("block", self.block_interceptor)) if val is not None]
         return f"AnalysisContext({', '.join(parts) or 'empty'})"

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
 from repro.context.metrics import kernel_count
 from repro.curves.piecewise import PiecewiseLinearCurve
@@ -225,6 +224,10 @@ def family_pair_bound(f12: PiecewiseLinearCurve,
 
     nfev = 0
     if refine and math.isfinite(best[0]):
+        # imported here, not at module load: scipy is most of the
+        # package's import time, and only this refinement uses it
+        from scipy import optimize
+
         res = optimize.minimize(
             lambda th: objective(max(float(th[0]), 0.0),
                                  max(float(th[1]), 0.0)),

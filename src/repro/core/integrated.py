@@ -40,7 +40,7 @@ from repro.analysis.propagation import _local_analysis
 from repro.context import NULL_CONTEXT, AnalysisContext
 from repro.core.partition import PairAlongPath, PartitionStrategy
 from repro.core.subsystem import TwoServerSubsystem
-from repro.curves.kernels import current_kernel, use_kernel
+from repro.curves.kernels import current_kernel
 from repro.curves.piecewise import PiecewiseLinearCurve
 from repro.errors import AnalysisError
 from repro.network.topology import Discipline, Network
@@ -95,8 +95,8 @@ class BlockInput:
     disciplines: tuple[str, ...]
     use_family_kernel: bool
     flows: tuple[FlowAtBlock, ...]
-    #: Curve kernel the block evaluates under (captured at build time);
-    #: part of the engine's content key so exact/grid never alias.
+    #: Curve kernel the input was built (and is evaluated) under; part
+    #: of the engine's content key so exact/grid never alias.
     kernel: str = "exact"
 
 
@@ -201,17 +201,16 @@ def evaluate_block(bi: BlockInput) -> BlockOutcome:
 
     Deterministic: identical :class:`BlockInput` values (bit-identical
     curves included) produce bit-identical outcomes — the contract the
-    incremental engine's content-addressed cache relies on.  The block
-    activates ``bi.kernel`` itself, so a replayed block does not depend
-    on the caller's ambient kernel.
+    incremental engine's content-addressed cache relies on.  It runs on
+    the thread's active kernel, which is ``bi.kernel``: an input is
+    built and evaluated on one thread.
     """
-    with use_kernel(bi.kernel):
-        if bi.kind == "singleton":
-            return _evaluate_singleton(bi)
-        if bi.kind == "fifo_pair":
-            return _evaluate_fifo_pair(bi)
-        if bi.kind == "sp_pair":
-            return _evaluate_sp_pair(bi)
+    if bi.kind == "singleton":
+        return _evaluate_singleton(bi)
+    if bi.kind == "fifo_pair":
+        return _evaluate_fifo_pair(bi)
+    if bi.kind == "sp_pair":
+        return _evaluate_sp_pair(bi)
     raise AnalysisError(f"unknown block kind {bi.kind!r}")
 
 

@@ -1,97 +1,57 @@
-"""Curve-kernel selection: exact / grid.
+"""Curve-kernel scope: exact in production, grid for the oracles.
 
 The functional façade (:mod:`repro.curves.operations`) dispatches every
 general min-plus operation on the *active kernel*:
 
 ``"exact"``
     The exact piecewise-linear algebra (:mod:`repro.curves.exact`):
-    no horizon, no sampling pad, bit-identical across runs.  The
-    default.
+    no horizon, no sampling pad, bit-identical across runs.  The only
+    production kernel.
 ``"grid"``
-    The legacy sampled backend (:mod:`repro.curves.numeric`): uniform
+    The sampled backend (:mod:`repro.curves.numeric`): uniform
     4096-point grids with rate-aware horizons and resolution-derived
-    soundness pads.  Kept as a differential-checking backend and for
-    comparison benchmarks.
+    soundness pads.  Entered only through :func:`use_kernel` by the
+    differential oracles, the golden corpus, benchmarks and tests.
 
-Selection mirrors the metrics registry's thread-local activation
-pattern (:mod:`repro.context.metrics`): analyses activate a kernel for
-a scope via :func:`use_kernel` (an :class:`~repro.context.
-AnalysisContext` does this inside ``analysis_scope``), and the ambient
-default — consulted when no scope is active — comes from the
-``REPRO_CURVE_KERNEL`` environment variable (the CLI's ``--kernel``
-flag sets it so sweep worker processes inherit the choice).
+The scope is thread-local, like the metrics registry's activation
+(:mod:`repro.context.metrics`).  Outside every scope the kernel is
+``"exact"``; no setting, flag or environment variable changes that.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from contextlib import contextmanager
 
-__all__ = [
-    "KERNELS",
-    "DEFAULT_KERNEL",
-    "resolve_kernel",
-    "current_kernel",
-    "use_kernel",
-]
+__all__ = ["KERNELS", "current_kernel", "use_kernel"]
 
-#: The valid kernel identifiers, in preference order.
+#: The valid kernel identifiers; "exact" is the production kernel.
 KERNELS = ("exact", "grid")
-
-#: Compiled-in default when neither a scope nor the environment selects.
-DEFAULT_KERNEL = "exact"
-
-#: Environment variable consulted for the ambient default.
-ENV_VAR = "REPRO_CURVE_KERNEL"
 
 _ACTIVE = threading.local()
 
 
-def resolve_kernel(name: str) -> str:
-    """Validate and normalize a kernel identifier.
-
-    Raises :class:`ValueError` for anything outside :data:`KERNELS` —
-    a misspelled kernel must fail loudly, not silently pick a backend.
-    """
-    normalized = str(name).strip().lower()
-    if normalized not in KERNELS:
-        raise ValueError(
-            f"unknown curve kernel {name!r}; expected one of {KERNELS}")
-    return normalized
-
-
 def current_kernel() -> str:
-    """The kernel active on this thread.
-
-    Innermost :func:`use_kernel` scope first, then the
-    ``REPRO_CURVE_KERNEL`` environment variable, then
-    :data:`DEFAULT_KERNEL`.
-    """
-    active = getattr(_ACTIVE, "kernel", None)
-    if active is not None:
-        return active
-    env = os.environ.get(ENV_VAR, "")
-    if env:
-        return resolve_kernel(env)
-    return DEFAULT_KERNEL
+    """The kernel active on this thread: the innermost
+    :func:`use_kernel` scope, else ``"exact"``."""
+    return getattr(_ACTIVE, "kernel", None) or "exact"
 
 
 @contextmanager
-def use_kernel(name: str | None):
+def use_kernel(name: str):
     """Make *name* the active kernel on this thread for the block.
 
-    Nested scopes stack (innermost wins); ``None`` is a no-op
-    passthrough so callers can thread an optional selection without
-    branching.
+    Nested scopes stack (innermost wins).  Anything outside
+    :data:`KERNELS` raises :class:`ValueError` — a misspelled (or
+    retired, like ``auto``) kernel must fail loudly, not silently pick
+    a backend.
     """
-    if name is None:
-        yield current_kernel()
-        return
-    resolved = resolve_kernel(name)
+    if name not in KERNELS:
+        raise ValueError(
+            f"unknown curve kernel {name!r}; expected one of {KERNELS}")
     prev = getattr(_ACTIVE, "kernel", None)
-    _ACTIVE.kernel = resolved
+    _ACTIVE.kernel = name
     try:
-        yield resolved
+        yield name
     finally:
         _ACTIVE.kernel = prev

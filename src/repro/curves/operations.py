@@ -18,8 +18,8 @@ on the *active curve kernel* (see :mod:`repro.curves.kernels` and
     lifted by its documented pad).  Kept as the differential-checking
     backend — see :func:`repro.validate.oracles.check_exact_grid`.
 
-Every function takes an optional ``kernel=`` override; the default is
-the thread's active kernel (:func:`repro.curves.kernels.current_kernel`).
+Each function reads the thread's active kernel
+(:func:`repro.curves.kernels.current_kernel`) and nothing else.
 ``busy_period`` and the pseudo-inverse/crossing paths are closed-form
 exact under **every** kernel — they never sampled to begin with.
 """
@@ -33,7 +33,7 @@ import numpy as np
 from repro.context.metrics import kernel_count
 from repro.curves import numeric
 from repro.curves.exact import exact_convolve, exact_deconvolve
-from repro.curves.kernels import current_kernel, resolve_kernel
+from repro.curves.kernels import current_kernel
 from repro.curves.piecewise import PiecewiseLinearCurve
 from repro.errors import CurveError
 from repro.utils.grid import TimeGrid, make_grid
@@ -49,10 +49,6 @@ __all__ = [
 
 #: Grid resolution used by the sampled backend.
 _FALLBACK_RESOLUTION = 4096
-
-
-def _kernel(kernel: str | None) -> str:
-    return current_kernel() if kernel is None else resolve_kernel(kernel)
 
 
 def _auto_horizon(*curves: PiecewiseLinearCurve) -> float:
@@ -97,23 +93,20 @@ def _grid_convolve(f: PiecewiseLinearCurve, g: PiecewiseLinearCurve,
 
 
 def convolve(f: PiecewiseLinearCurve, g: PiecewiseLinearCurve,
-             horizon: float | None = None,
-             kernel: str | None = None) -> PiecewiseLinearCurve:
+             horizon: float | None = None) -> PiecewiseLinearCurve:
     """Min-plus convolution ``f ⊗ g`` on the active kernel.
 
     The exact kernel is total (never raises, never samples); *horizon*
     only affects the grid backend's coverage and is ignored by the
     exact path.
     """
-    k = _kernel(kernel)
-    if k == "grid":
+    if current_kernel() == "grid":
         return _grid_convolve(f, g, horizon)
     return exact_convolve(f, g)
 
 
 def convolve_all(curves: Iterable[PiecewiseLinearCurve],
-                 horizon: float | None = None,
-                 kernel: str | None = None) -> PiecewiseLinearCurve:
+                 horizon: float | None = None) -> PiecewiseLinearCurve:
     """Min-plus convolution of an iterable of curves (left fold).
 
     On the grid backend *horizon* is a **minimum** coverage for the
@@ -125,7 +118,6 @@ def convolve_all(curves: Iterable[PiecewiseLinearCurve],
     extrapolated with a single slope, silently inflating the result.)
     The exact kernel folds with no horizon at all.
     """
-    k = _kernel(kernel)
     it = iter(curves)
     try:
         acc = next(it)
@@ -133,7 +125,7 @@ def convolve_all(curves: Iterable[PiecewiseLinearCurve],
         raise CurveError("convolve_all needs at least one curve") from None
     for c in it:
         h = None if horizon is None else max(horizon, _auto_horizon(acc, c))
-        acc = convolve(acc, c, horizon=h, kernel=k)
+        acc = convolve(acc, c, horizon=h)
     return acc
 
 
@@ -167,8 +159,7 @@ def _grid_deconvolve(f: PiecewiseLinearCurve, g: PiecewiseLinearCurve,
 
 
 def deconvolve(f: PiecewiseLinearCurve, g: PiecewiseLinearCurve,
-               horizon: float | None = None,
-               kernel: str | None = None) -> PiecewiseLinearCurve:
+               horizon: float | None = None) -> PiecewiseLinearCurve:
     """Min-plus deconvolution ``f ⊘ g`` on the active kernel.
 
     The output-traffic bound of a flow with arrival curve ``f`` served
@@ -178,7 +169,7 @@ def deconvolve(f: PiecewiseLinearCurve, g: PiecewiseLinearCurve,
     grid backend truncates at its rate-aware horizon instead and pads
     the result to dominate the exact one.
     """
-    if _kernel(kernel) == "grid":
+    if current_kernel() == "grid":
         return _grid_deconvolve(f, g, horizon)
     return exact_deconvolve(f, g)
 
@@ -189,8 +180,7 @@ def _max_abs_slope(c: PiecewiseLinearCurve) -> float:
 
 
 def hdev(arrival: PiecewiseLinearCurve,
-         service: PiecewiseLinearCurve,
-         kernel: str | None = None) -> float:
+         service: PiecewiseLinearCurve) -> float:
     """Horizontal deviation (worst-case delay bound).
 
     Exact on the ``exact`` kernel.  The grid backend samples
@@ -199,8 +189,7 @@ def hdev(arrival: PiecewiseLinearCurve,
     always dominates the exact one — a sampled delay bound below the
     true deviation would be unsound.
     """
-    k = _kernel(kernel)
-    if k != "grid":
+    if current_kernel() != "grid":
         return arrival.horizontal_deviation(service)
     if arrival.final_slope > service.final_slope + 1e-12:
         return float("inf")
@@ -215,16 +204,14 @@ def hdev(arrival: PiecewiseLinearCurve,
 
 
 def vdev(arrival: PiecewiseLinearCurve,
-         service: PiecewiseLinearCurve,
-         kernel: str | None = None) -> float:
+         service: PiecewiseLinearCurve) -> float:
     """Vertical deviation (worst-case backlog bound).
 
     Exact on the ``exact`` kernel; the grid backend adds its
     error envelope (``2·dt·(L_arr + L_srv)``) so the sampled bound
     dominates the exact one.
     """
-    k = _kernel(kernel)
-    if k != "grid":
+    if current_kernel() != "grid":
         return arrival.vertical_deviation(service)
     if arrival.final_slope > service.final_slope + 1e-12:
         return float("inf")

@@ -355,18 +355,17 @@ class IncrementalEngine(Analyzer):
         """False when every query cold-falls-back (unknown analyzer)."""
         return self._mode is not None
 
-    def _fingerprint(self, ctx: AnalysisContext) -> tuple:
+    def _fingerprint(self) -> tuple:
         """The wrapped analyzer's current configuration.
 
         Changing configuration between queries invalidates fast reuse
         (the memoized sweep was produced under different settings);
         the content cache is safe regardless because the relevant flags
-        are part of every key.  The effective curve kernel — the
-        context's selection when set, else the ambient one — is part of
-        the configuration: switching kernels between queries must not
-        replay the previous kernel's sweep verbatim.
+        are part of every key.  The thread's curve kernel is part of
+        the configuration: a query inside the oracles' ``grid`` scope
+        must not replay an exact sweep verbatim (or vice versa).
         """
-        kernel = ctx.kernel if ctx.kernel is not None else current_kernel()
+        kernel = current_kernel()
         if self._mode == "decomposed":
             return ("decomposed", self._analyzer.capped_propagation,
                     kernel)
@@ -404,7 +403,7 @@ class IncrementalEngine(Analyzer):
             return self._analyzer.run(network, ctx)
 
         memo = self._memo
-        fingerprint = self._fingerprint(ctx)
+        fingerprint = self._fingerprint()
         if (memo is not None and memo.fingerprint == fingerprint
                 and memo.network.version == network.version):
             ctx.count("engine.memo_replays")
@@ -675,7 +674,7 @@ class IncrementalEngine(Analyzer):
         if (self._store is None or self._mode is None
                 or not network.is_feedforward):
             return False
-        fingerprint = self._fingerprint(ctx)
+        fingerprint = self._fingerprint()
         key = self._sweep_key(network, fingerprint)
         stored = None if key is None else self._store.get(key)
         if stored is None:

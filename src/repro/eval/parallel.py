@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from repro.context import NULL_CONTEXT, AnalysisContext, MetricsRegistry
-from repro.curves.kernels import current_kernel, use_kernel
+from repro.curves.kernels import current_kernel
 from repro.engine.parallel import (
     open_worker_store,
     store_interceptors,
@@ -72,10 +72,11 @@ class SweepPoint:
     ``phases`` — populated only under ``profile=True`` — carries the
     point's :class:`~repro.context.MetricsRegistry` counters (curve
     kernel invocations, server steps, per-phase timers).  ``kernel``
-    records the curve kernel the point was evaluated under (empty on
-    rows checkpointed before kernels were recorded); resume treats a
-    row produced under a different kernel as stale and re-runs it —
-    grid-sampled and exact bounds must never mix in one sweep.
+    records the curve kernel that computed the point (empty on rows
+    checkpointed before kernels were recorded): ``exact`` in a pool
+    worker, the thread's kernel in-process.  Resume re-runs a row
+    whose kernel is not the resuming thread's — grid-sampled and exact
+    bounds must never mix in one sweep.
     """
 
     analyzer: str
@@ -125,14 +126,12 @@ def _worker_store(path: str):
     return store
 
 
-def _evaluate_one(args: _Task, kernel: str, profile: bool = False,
+def _evaluate_one(args: _Task, profile: bool = False,
                   store_path: str | None = None):
-    """Evaluate one grid point under curve *kernel*; the worker entry
-    point.
+    """Evaluate one grid point; the worker entry point.
 
-    The kernel travels as an argument, not through the worker's
-    ambient selection, which a spawned (not forked) worker would not
-    inherit.  Returns the bare :class:`SweepPoint` without a store, or
+    The point runs on the evaluating thread's curve kernel and records
+    it.  Returns the bare :class:`SweepPoint` without a store, or
     ``(point, seed_records)`` when *store_path* is set — fresh
     per-unit results travel back to the driver, which owns the single
     writable handle.
@@ -149,19 +148,18 @@ def _evaluate_one(args: _Task, kernel: str, profile: bool = False,
         step, block = store_interceptors(_worker_store(store_path),
                                          records)
         ctx = ctx.with_interceptors(step=step, block=block)
-    with use_kernel(kernel):
-        if profile:
-            with ctx.metrics.timed("point"):
-                delay = analyzer.run(net, ctx).delay_of(CONNECTION0)
-        else:
+    if profile:
+        with ctx.metrics.timed("point"):
             delay = analyzer.run(net, ctx).delay_of(CONNECTION0)
+    else:
+        delay = analyzer.run(net, ctx).delay_of(CONNECTION0)
     phases = None
     if profile:
         phases = {k: round(float(v), 9)
                   for k, v in sorted(ctx.metrics.as_dict().items())}
     point = SweepPoint(analyzer_name, n_hops, load, sigma, delay,
                        elapsed_s=time.perf_counter() - start,
-                       phases=phases, kernel=kernel)
+                       phases=phases, kernel=current_kernel())
     if store_path is not None:
         return point, list(records.values())
     return point
@@ -241,7 +239,8 @@ def _completed(latest: Mapping[_Task, tuple[SweepPoint, str]],
 
     Failed (error) rows are not kept: resume re-runs them — including
     when the error superseded an earlier success.  *kernel* is the
-    curve kernel the resuming sweep runs under.  A successful row
+    resuming sweep's :func:`~repro.curves.kernels.current_kernel`.  A
+    successful row
     recorded under a *different* kernel is treated like a failure and
     re-run: its bound came from different arithmetic and must not be
     mixed into this sweep's results.  Rows from checkpoints that
@@ -311,14 +310,13 @@ class _Checkpointer:
 # ----------------------------------------------------------------------
 
 
-def _failure_point(task: _Task, error: str, attempts: int,
-                   kernel: str) -> SweepPoint:
+def _failure_point(task: _Task, error: str, attempts: int) -> SweepPoint:
     a, n, u, s = task
     return SweepPoint(a, n, u, s, math.nan, error=error,
-                      attempts=attempts, kernel=kernel)
+                      attempts=attempts, kernel=current_kernel())
 
 
-def _run_serial(pending: list[tuple[_Task, int]], kernel: str,
+def _run_serial(pending: list[tuple[_Task, int]],
                 retries: int, backoff: float,
                 record: Callable[[_Task, SweepPoint], None],
                 profile: bool = False,
@@ -333,13 +331,12 @@ def _run_serial(pending: list[tuple[_Task, int]], kernel: str,
             # that already succeeded
             try:
                 point, seeds = _split_result(
-                    _evaluate_one(task, kernel, profile, store_path))
+                    _evaluate_one(task, profile, store_path))
                 point = replace(point, attempts=attempt)
             except Exception as exc:  # noqa: BLE001 - isolation boundary
                 if attempt > retries:
                     record(task, _failure_point(
-                        task, f"{type(exc).__name__}: {exc}", attempt,
-                        kernel))
+                        task, f"{type(exc).__name__}: {exc}", attempt))
                     break
                 time.sleep(backoff * 2 ** (attempt - 1))
                 attempt += 1
@@ -350,7 +347,7 @@ def _run_serial(pending: list[tuple[_Task, int]], kernel: str,
             break
 
 
-def _run_parallel(pending: list[tuple[_Task, int]], kernel: str,
+def _run_parallel(pending: list[tuple[_Task, int]],
                   workers: int, timeout: float, retries: int,
                   backoff: float,
                   record: Callable[[_Task, SweepPoint], None],
@@ -365,7 +362,7 @@ def _run_parallel(pending: list[tuple[_Task, int]], kernel: str,
 
         def fail(task: _Task, attempt: int, error: str) -> None:
             if attempt > retries:
-                record(task, _failure_point(task, error, attempt, kernel))
+                record(task, _failure_point(task, error, attempt))
             else:
                 next_round.append((task, attempt + 1))
 
@@ -373,8 +370,7 @@ def _run_parallel(pending: list[tuple[_Task, int]], kernel: str,
         try:
             handles = [(task, attempt,
                         pool.apply_async(_evaluate_one,
-                                         (task, kernel, profile,
-                                          store_path)))
+                                         (task, profile, store_path)))
                        for task, attempt in pending]
             poisoned = False
             for task, attempt, handle in handles:
@@ -479,9 +475,7 @@ def evaluate_grid(analyzers: Sequence[str], hops: Sequence[int],
         completion state land in its registry (``sweep.total``,
         ``sweep.done``, ``sweep.errors``, ``sweep.retries``,
         ``sweep.point_s``) and a deadline on *ctx* is checked between
-        points.  Its curve kernel (else the ambient one) is resolved
-        once here and handed to every point, in-process or in a worker;
-        workers see nothing else of *ctx*.
+        points.  Workers see nothing of *ctx*.
     profile:
         Evaluate each point under a fresh profiling context and attach
         its counters to :attr:`SweepPoint.phases` (and to checkpoint
@@ -512,9 +506,8 @@ def evaluate_grid(analyzers: Sequence[str], hops: Sequence[int],
                           for a in analyzers for n in hops for u in loads]
     results: dict[_Task, SweepPoint] = {}
     ckpt_path = Path(checkpoint) if checkpoint is not None else None
-    sweep_kernel = ctx.kernel if ctx.kernel is not None else current_kernel()
     sink = _Checkpointer(ckpt_path, resume)
-    cached = _completed(sink.latest, sweep_kernel)
+    cached = _completed(sink.latest, current_kernel())
     results.update((t, cached[t]) for t in tasks if t in cached)
 
     total = len(tasks)
@@ -569,12 +562,12 @@ def evaluate_grid(analyzers: Sequence[str], hops: Sequence[int],
                   profile=profile):
         try:
             if serial:
-                _run_serial(pending, sweep_kernel, retries, backoff,
+                _run_serial(pending, retries, backoff,
                             record, profile, store_path, collect)
             else:
                 workers = max_workers or min(len(pending),
                                              os.cpu_count() or 1)
-                _run_parallel(pending, sweep_kernel, workers,
+                _run_parallel(pending, workers,
                               timeout if timeout is not None
                               else DEFAULT_TASK_TIMEOUT,
                               retries, backoff, record, profile,

@@ -155,10 +155,10 @@ class Journal:
         """Journal the service's initial network (fresh journals only).
 
         *kernel* records the curve kernel every journaled bound was
-        produced under, so recovery re-verifies history with the same
-        arithmetic — a journal written under the grid backend must not
-        be re-checked bit-identically under the exact kernel.  Empty
-        means "journal predates kernel recording" (pre-PR-9 journals).
+        produced under.  Recovery verifies only under ``exact``, so it
+        refuses a journal recorded under the ``grid`` oracle scope
+        rather than compare its padded bounds with exact ones.  Empty
+        means "journal predates kernel recording".
         """
         return self._append({
             "op": "base",

@@ -194,6 +194,20 @@ def recover_state(directory: str | Path) -> RecoveredState:
         base_network=base_network, snapshot=snapshot)
 
 
+def _require_exact(state: RecoveredState, where: str) -> None:
+    """Refuse a journal whose bounds came from a non-exact curve kernel.
+
+    Production verifies and resumes only under ``exact``; a journal
+    recorded under the ``grid`` oracle scope holds padded bounds that
+    no exact re-analysis reproduces.  Unrecorded (legacy) and retired
+    ``auto`` journals count as exact (:func:`recover_state`).
+    """
+    if state.kernel not in ("", "exact"):
+        raise RecoveryError(
+            f"{where} was recorded under curve kernel {state.kernel!r}; "
+            "production verifies and resumes only under 'exact'")
+
+
 # ----------------------------------------------------------------------
 # bit-identical verification
 # ----------------------------------------------------------------------
@@ -229,7 +243,6 @@ class RecoveryReport:
 
 
 def verify_recovery(source: str | Path | RecoveredState, *,
-                    kernel: str | None = None,
                     store=None,
                     ctx: AnalysisContext = NULL_CONTEXT) -> RecoveryReport:
     """Re-analyze every journaled admission and demand bit-identity.
@@ -261,31 +274,16 @@ def verify_recovery(source: str | Path | RecoveredState, *,
     and checking them against the record that produced them would
     compare a value with its copy; a full sweep checks them instead.
 
-    Re-analysis runs under the **journaled curve kernel**: bounds
-    recorded under the grid backend cannot be reproduced bit-for-bit
-    by the exact kernel (or vice versa).  Passing *kernel* asserts the
-    caller's expectation — a mismatch with a kernel-recording journal
-    raises :class:`~repro.errors.RecoveryError` instead of failing
-    every bound comparison; journals predating kernel recording verify
-    under *kernel* (or the ambient selection) as before.
+    Re-analysis runs under the ``exact`` curve kernel, the only one
+    production analyses use.  A journal recorded under the oracles'
+    ``grid`` scope raises :class:`~repro.errors.RecoveryError` (see
+    :func:`_require_exact`) instead of failing every bound comparison.
     """
     if isinstance(source, RecoveredState):
         state, where = source, "the journal"
     else:
         state, where = recover_state(source), f"journal {Path(source)}"
-    if kernel is not None and state.kernel and kernel != state.kernel:
-        raise RecoveryError(
-            f"{where} was recorded under curve kernel "
-            f"{state.kernel!r}; verifying under {kernel!r} would compare "
-            "bounds across kernels — rerun without --kernel or with "
-            f"--kernel {state.kernel}")
-    effective = state.kernel or kernel
-    if effective:
-        ctx = (ctx.with_kernel(effective)
-               if isinstance(ctx, AnalysisContext) and ctx.kernel is None
-               else ctx)
-        if not isinstance(ctx, AnalysisContext):
-            ctx = AnalysisContext(kernel=effective)
+    _require_exact(state, where)
 
     analyzers: dict[str, Analyzer] = {}
     seed = None
@@ -373,7 +371,6 @@ def verify_recovery(source: str | Path | RecoveredState, *,
 def recover_service(directory: str | Path, *,
                     analyzer: Analyzer | None = None,
                     verify: bool = True,
-                    kernel: str | None = None,
                     store=None,
                     ctx: AnalysisContext = NULL_CONTEXT,
                     **service_kwargs):
@@ -385,11 +382,10 @@ def recover_service(directory: str | Path, *,
     returns a service whose journal *resumes* the directory — sequence
     numbers continue, nothing is clobbered.
 
-    *analyzer* overrides the journaled primary analyzer; *kernel*
-    asserts the curve kernel and must match the journaled one when the
-    journal records it (:class:`~repro.errors.RecoveryError`
-    otherwise) — the resumed service is pinned to the journaled kernel
-    so new records stay comparable with history.  *store* warm-boots
+    *analyzer* overrides the journaled primary analyzer.  A journal
+    recorded under the ``grid`` curve kernel raises
+    :class:`~repro.errors.RecoveryError` whether or not it is verified:
+    the resumed service would append exact bounds to it.  *store* warm-boots
     recovery: verification consults it before re-deriving per-hop
     results (bit-identity still enforced per bound) and the resumed
     service keeps it as its persistent cache tier.  Extra keyword
@@ -407,17 +403,11 @@ def recover_service(directory: str | Path, *,
     from repro.service.service import AdmissionService
 
     state = recover_state(directory)
-    if kernel is not None and state.kernel and kernel != state.kernel:
-        raise RecoveryError(
-            f"journal {Path(directory)} was recorded under curve kernel "
-            f"{state.kernel!r}; resuming under {kernel!r} would mix "
-            "bounds from two kernels in one journal — rerun without "
-            f"--kernel or with --kernel {state.kernel}")
+    _require_exact(state, f"journal {Path(directory)}")
     primary = analyzer
     network = state.network
     if verify:
-        report = verify_recovery(state, kernel=kernel, store=store,
-                                 ctx=ctx)
+        report = verify_recovery(state, store=store, ctx=ctx)
         if not report.ok:
             raise RecoveryError(
                 "recovered state failed bound verification:\n"
@@ -435,5 +425,5 @@ def recover_service(directory: str | Path, *,
         primary = resolve_analyzer(state.analyzer_name)
     return AdmissionService(
         network, primary, journal_dir=directory, resume=True,
-        admitted=state.admitted, kernel=state.kernel or kernel,
-        store=store, ctx=ctx, _resume_seq=state.last_seq, **service_kwargs)
+        admitted=state.admitted, store=store, ctx=ctx,
+        _resume_seq=state.last_seq, **service_kwargs)

@@ -176,7 +176,6 @@ class AdmissionService:
                  breaker_reset_s: float = 30.0,
                  snapshot_every: int = 64,
                  shed_latency_s: float | None = None,
-                 kernel: str | None = None,
                  store=None,
                  ctx: AnalysisContext = NULL_CONTEXT,
                  clock: Callable[[], float] = time.monotonic,
@@ -187,11 +186,6 @@ class AdmissionService:
         if shed_latency_s is not None and not shed_latency_s > 0:
             raise ServiceError(
                 f"shed_latency_s must be > 0, got {shed_latency_s}")
-        if kernel is not None and getattr(ctx, "kernel", None) is None:
-            # pin every analysis this service runs to the named kernel
-            ctx = (ctx.with_kernel(kernel)
-                   if isinstance(ctx, AnalysisContext)
-                   else AnalysisContext(kernel=kernel))
         self._ctx = ctx
         self._clock = clock
         self._snapshot_every = int(snapshot_every)
@@ -264,17 +258,12 @@ class AdmissionService:
                 reset_timeout=breaker_reset_s, clock=clock,
                 metrics=ctx.metrics)
 
-        #: effective curve kernel for the service's lifetime; recorded
-        #: in the journal so recovery re-verifies under the same
-        #: arithmetic (ctx selection wins over the ambient default)
-        self._kernel = kernel or (ctx.kernel if ctx.kernel is not None
-                                  else current_kernel())
         self._journal = Journal(journal_dir, resume=resume,
                                 _last_seq=_resume_seq)
         if not resume:
             self._journal.write_base(self._controller.network,
                                      analyzer=self._primary_name,
-                                     kernel=self._kernel)
+                                     kernel=current_kernel())
 
     # ------------------------------------------------------------------
     # introspection
@@ -578,7 +567,7 @@ class AdmissionService:
         self._journal.snapshot(
             self.network, list(self._controller.admitted),
             analyzer=self._primary_name, bounds=bounds,
-            kernel=self._kernel)
+            kernel=current_kernel())
         self._ops_since_snapshot = 0
         self._ctx.count("service.snapshots")
 

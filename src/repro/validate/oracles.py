@@ -37,6 +37,7 @@ from repro.analysis.decomposed import DecomposedAnalysis
 from repro.context import NULL_CONTEXT, AnalysisContext
 from repro.core.integrated import IntegratedAnalysis
 from repro.curves import numeric
+from repro.curves.kernels import use_kernel
 from repro.curves.piecewise import PiecewiseLinearCurve
 from repro.curves.token_bucket import TokenBucket
 from repro.network.flow import Flow
@@ -254,35 +255,35 @@ def check_monotonicity(network: Network, *,
     """
     analyzers = dict(analyzers) if analyzers is not None \
         else default_analyzers()
-    ctx = ctx.with_kernel("exact")
-    base = {name: a.run(network, ctx)
-            for name, a in analyzers.items()}
-    inflations: list[tuple[str, Network]] = [
-        (f"burst x{burst_factor:g}",
-         BurstInflation(burst_factor).apply(network)),
-    ]
-    inflated_rates = _inflate_rates(network, rate_factor)
-    if inflated_rates is not None:
-        inflations.append((f"rate x{rate_factor:g}", inflated_rates))
-
     violations = []
-    for label, inflated in inflations:
-        for name, analyzer in analyzers.items():
-            report = analyzer.run(inflated, ctx)
-            for flow in network.iter_flows():
-                before = base[name].delay_of(flow.name)
-                after = report.delay_of(flow.name)
-                floor = before * (1.0 - EPS_REL) - EPS_ABS
-                ctx.count("validate.monotonicity_checks")
-                if after < floor:
-                    violations.append(Violation(
-                        "monotonicity", flow.name,
-                        f"{name} bound dropped from {before:.6g} to "
-                        f"{after:.6g} under {label}",
-                        # monotonicity is a lower-bound property; keep
-                        # the violation's observed > allowed convention
-                        # by negating both sides
-                        -after, -floor))
+    with use_kernel("exact"):
+        base = {name: a.run(network, ctx)
+                for name, a in analyzers.items()}
+        inflations: list[tuple[str, Network]] = [
+            (f"burst x{burst_factor:g}",
+             BurstInflation(burst_factor).apply(network)),
+        ]
+        inflated_rates = _inflate_rates(network, rate_factor)
+        if inflated_rates is not None:
+            inflations.append((f"rate x{rate_factor:g}", inflated_rates))
+
+        for label, inflated in inflations:
+            for name, analyzer in analyzers.items():
+                report = analyzer.run(inflated, ctx)
+                for flow in network.iter_flows():
+                    before = base[name].delay_of(flow.name)
+                    after = report.delay_of(flow.name)
+                    floor = before * (1.0 - EPS_REL) - EPS_ABS
+                    ctx.count("validate.monotonicity_checks")
+                    if after < floor:
+                        violations.append(Violation(
+                            "monotonicity", flow.name,
+                            f"{name} bound dropped from {before:.6g} to "
+                            f"{after:.6g} under {label}",
+                            # monotonicity is a lower-bound property; keep
+                            # the violation's observed > allowed convention
+                            # by negating both sides
+                            -after, -floor))
     return violations
 
 
@@ -440,7 +441,6 @@ def check_exact_grid(seed: int, *, trials: int = 6,
     A violation in either direction means a kernel (or a pad) is wrong.
     """
     from repro.curves.exact import exact_convolve, exact_deconvolve
-    from repro.curves.kernels import use_kernel
     from repro.curves.operations import _auto_grid
     from repro.curves.operations import convolve as op_convolve
     from repro.curves.operations import deconvolve as op_deconvolve
@@ -497,10 +497,9 @@ def check_exact_grid(seed: int, *, trials: int = 6,
                f"trial {trial}: grid outside error envelope")
 
         # -- deviations: padded grid must dominate exact --------------
-        h_exact = hdev(arr, srv, kernel="exact")
-        v_exact = vdev(arr, srv, kernel="exact")
-        h_grid = hdev(arr, srv, kernel="grid")
-        v_grid = vdev(arr, srv, kernel="grid")
+        h_exact, v_exact = hdev(arr, srv), vdev(arr, srv)
+        with use_kernel("grid"):
+            h_grid, v_grid = hdev(arr, srv), vdev(arr, srv)
         grid = _auto_grid(arr, srv)
         h_pad = 2.0 * grid.dt * (1.0 + l_a / max(srv.final_slope, 1e-9))
         v_pad = 2.0 * grid.dt * (l_a + l_s)

@@ -323,7 +323,7 @@ class TestWorkerReuse:
         monkeypatch.setattr(parallel, "server_step",
                             lambda si: computed.append(1) or step_fn(si))
         out = batch._admit_group((subnet, list(enumerate(reqs)), False,
-                                  "exact", None, True, None))
+                                  None, True, None))
         assert out["ok"]
         assert len(lookups) > len(computed)  # a key repeated ...
         assert len(computed) == len(out["records"])  # ... computed once

@@ -1,68 +1,65 @@
-"""Kernel selection and dispatch: resolve / precedence / divergence.
+"""Kernel scope and dispatch.
 
-The dispatch contract (see docs/KERNELS.md): per-call ``kernel=``
-argument beats the innermost :func:`use_kernel` scope, which beats the
-``REPRO_CURVE_KERNEL`` environment variable, which beats the compiled
-default ``"exact"``.  A diverging deconvolution raises on the exact
-kernel; nothing silently switches to the grid.
+The contract (see docs/KERNELS.md): ``exact`` is the only production
+kernel.  The innermost :func:`use_kernel` scope on the thread selects
+the kernel every curve operation dispatches on; outside every scope it
+is ``"exact"``, and no setting, argument or environment variable
+changes that.  A diverging deconvolution raises on the exact kernel;
+nothing silently switches to the grid.
 """
+
+import re
+from pathlib import Path
 
 import pytest
 
+from repro.analysis.decomposed import DecomposedAnalysis
 from repro.context import AnalysisContext
-from repro.curves.kernels import (DEFAULT_KERNEL, ENV_VAR, KERNELS,
-                                  current_kernel, resolve_kernel,
-                                  use_kernel)
+from repro.core.integrated import IntegratedAnalysis
+from repro.curves.kernels import KERNELS, current_kernel, use_kernel
 from repro.curves.operations import deconvolve
 from repro.curves.piecewise import PiecewiseLinearCurve as P
 from repro.errors import CurveError
+from repro.network.tandem import build_tandem
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 class TestResolveKernel:
+    """:func:`use_kernel` accepts exactly the names in :data:`KERNELS`."""
+
     def test_valid_names(self):
         assert KERNELS == ("exact", "grid")
         for name in KERNELS:
-            assert resolve_kernel(name) == name
+            with use_kernel(name) as active:
+                assert active == name == current_kernel()
 
     def test_retired_auto_kernel_raises(self):
         with pytest.raises(ValueError, match="unknown curve kernel"):
-            resolve_kernel("auto")
-
-    def test_normalizes_case_and_whitespace(self):
-        assert resolve_kernel("  Exact ") == "exact"
-        assert resolve_kernel("GRID") == "grid"
+            with use_kernel("auto"):
+                pass  # pragma: no cover
 
     def test_unknown_raises(self):
-        with pytest.raises(ValueError, match="unknown curve kernel"):
-            resolve_kernel("sampled")
-        with pytest.raises(ValueError, match="unknown curve kernel"):
-            resolve_kernel("")
+        for name in ("sampled", "", "GRID", " exact"):
+            with pytest.raises(ValueError, match="unknown curve kernel"):
+                with use_kernel(name):
+                    pass  # pragma: no cover
 
 
 class TestPrecedence:
-    def test_compiled_default(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert current_kernel() == DEFAULT_KERNEL == "exact"
+    def test_compiled_default(self):
+        assert current_kernel() == "exact"
 
-    def test_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "grid")
-        assert current_kernel() == "grid"
-
-    def test_invalid_env_raises(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "bogus")
-        with pytest.raises(ValueError):
-            current_kernel()
-
-    def test_retired_auto_env_raises(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "auto")
-        with pytest.raises(ValueError, match="unknown curve kernel"):
-            current_kernel()
+    def test_env_is_ignored(self, monkeypatch):
+        for value in ("grid", "bogus", "auto"):
+            monkeypatch.setenv("REPRO_CURVE_KERNEL", value)
+            assert current_kernel() == "exact"
 
     def test_scope_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "grid")
-        with use_kernel("exact"):
-            assert current_kernel() == "exact"
-        assert current_kernel() == "grid"
+        monkeypatch.setenv("REPRO_CURVE_KERNEL", "exact")
+        with use_kernel("grid"):
+            assert current_kernel() == "grid"
+        assert current_kernel() == "exact"
 
     def test_scopes_nest_and_restore(self):
         with use_kernel("grid"):
@@ -71,33 +68,26 @@ class TestPrecedence:
                 assert current_kernel() == "exact"
             assert current_kernel() == "grid"
 
-    def test_none_scope_is_passthrough(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "grid")
-        with use_kernel(None) as active:
-            assert active == "grid"
-            assert current_kernel() == "grid"
-
     def test_scope_restores_after_exception(self):
         with pytest.raises(RuntimeError):
             with use_kernel("grid"):
                 raise RuntimeError("boom")
-        assert current_kernel() == DEFAULT_KERNEL
+        assert current_kernel() == "exact"
 
-    def test_per_call_arg_beats_scope(self):
-        # grid deconvolve pads its bound above the exact one; the
-        # per-call override must pick the exact backend despite the
-        # ambient grid scope
+    def test_operations_follow_the_scope(self):
+        # grid deconvolve pads its bound above the exact one
         f, g = P.affine(2.0, 0.25), P.rate_latency(1.0, 2.0)
+        exact = deconvolve(f, g)
         with use_kernel("grid"):
-            exact = deconvolve(f, g, kernel="exact")
             grid = deconvolve(f, g)
         assert exact(0.0) == pytest.approx(2.5)
         assert grid(0.0) > exact(0.0)
 
     def test_invalid_scope_name_raises(self):
-        with pytest.raises(ValueError):
-            with use_kernel("fast"):
-                pass  # pragma: no cover
+        for name in ("fast", None):
+            with pytest.raises(ValueError):
+                with use_kernel(name):
+                    pass  # pragma: no cover
 
     def test_retired_auto_scope_raises(self):
         with pytest.raises(ValueError, match="unknown curve kernel"):
@@ -106,24 +96,47 @@ class TestPrecedence:
 
 
 class TestContextPropagation:
-    def test_with_kernel_copies(self):
+    def test_context_carries_no_kernel(self):
+        with pytest.raises(TypeError):
+            AnalysisContext(kernel="grid")
         ctx = AnalysisContext()
-        assert ctx.kernel is None
-        grid_ctx = ctx.with_kernel("grid")
-        assert grid_ctx.kernel == "grid"
-        assert ctx.kernel is None
-
-    def test_analysis_scope_activates_kernel(self):
-        ctx = AnalysisContext(kernel="grid")
+        assert not hasattr(ctx, "with_kernel")
         with ctx.analysis_scope("test"):
-            assert current_kernel() == "grid"
-        assert current_kernel() == DEFAULT_KERNEL
+            assert current_kernel() == "exact"
 
     def test_analysis_scope_none_kernel_inherits(self):
         ctx = AnalysisContext()
         with use_kernel("grid"):
             with ctx.analysis_scope("test"):
                 assert current_kernel() == "grid"
+
+
+class TestNoProductionSelection:
+    """The kernel cannot be selected outside the oracles' scope."""
+
+    def test_env_does_not_move_a_bound(self, monkeypatch):
+        net = build_tandem(4, 0.7, 1.0)
+
+        def bounds():
+            out = {}
+            for analyzer in (DecomposedAnalysis(), IntegratedAnalysis()):
+                report = analyzer.analyze(net)
+                out[analyzer.name] = {f: report.delay_of(f).hex()
+                                      for f in net.flows}
+            return out
+
+        monkeypatch.delenv("REPRO_CURVE_KERNEL", raising=False)
+        plain = bounds()
+        monkeypatch.setenv("REPRO_CURVE_KERNEL", "grid")
+        assert bounds() == plain
+        with use_kernel("grid"):  # the scope itself still reaches them
+            assert bounds() != plain
+
+    def test_only_curves_and_validate_enter_the_scope(self):
+        mentions = {path.relative_to(SRC).parts[:2]
+                    for path in SRC.rglob("*.py")
+                    if re.search(r"\buse_kernel\b", path.read_text())}
+        assert mentions == {("repro", "curves"), ("repro", "validate")}
 
 
 class TestAutoFallback:

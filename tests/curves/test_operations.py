@@ -79,7 +79,7 @@ class TestConvolveFacade:
 
 class TestDeconvolve:
     """Pins the *grid* backend's pad/splice semantics, so every test
-    activates ``kernel="grid"`` explicitly (the default exact kernel
+    enters the ``grid`` kernel scope (the default exact kernel
     has no pad, no splice and no horizon)."""
 
     @pytest.fixture(autouse=True)

@@ -190,22 +190,23 @@ class TestControllerIntegration:
 
 
 class TestKernelFingerprint:
-    """Kernel selection is part of the engine's memo identity.
+    """The thread's kernel is part of the engine's memo identity.
 
-    The engine fingerprints queries with the *effective* kernel (the
-    context's if set, else the ambient one), and content keys carry
-    the kernel captured at build time — switching kernels between
-    queries must never replay results computed under the other one.
+    The engine fingerprints queries with the thread's kernel, and
+    content keys carry the kernel captured at build time — a query in
+    the oracles' ``grid`` scope must never replay results computed
+    under ``exact``, or the other way round.
     """
 
     NET = tandem().with_flow(flow("a", [1, 2, 3, 4], rho=2.0))
 
-    def test_ctx_kernel_separates_memo_entries(self):
-        from repro.context import AnalysisContext
+    def test_scope_kernel_separates_memo_entries(self):
+        from repro.curves.kernels import use_kernel
 
         eng = IncrementalEngine(DecomposedAnalysis())
-        exact = eng.analyze(self.NET, ctx=AnalysisContext(kernel="exact"))
-        grid = eng.analyze(self.NET, ctx=AnalysisContext(kernel="grid"))
+        exact = eng.analyze(self.NET)
+        with use_kernel("grid"):
+            grid = eng.analyze(self.NET)
         # the grid backend pads its bounds: strictly looser somewhere
         assert all(grid.delay_of(n) >= exact.delay_of(n) - 1e-12
                    for n in exact.delays)
@@ -213,7 +214,7 @@ class TestKernelFingerprint:
                    for n in exact.delays)
         # switching back must reproduce the exact run bit-identically,
         # not replay the grid one
-        again = eng.analyze(self.NET, ctx=AnalysisContext(kernel="exact"))
+        again = eng.analyze(self.NET)
         assert reports_identical(again, exact)
 
     def test_ambient_kernel_is_fingerprinted(self):
@@ -224,10 +225,9 @@ class TestKernelFingerprint:
         with use_kernel("grid"):
             grid = eng.analyze(self.NET)
         assert not reports_identical(grid, exact)
-        # ambient and explicit selection share one memo identity
+        # a traced query in the same scope shares the memo identity
         from repro.context import AnalysisContext
 
         with use_kernel("grid"):
-            again = eng.analyze(self.NET,
-                                ctx=AnalysisContext(kernel="grid"))
+            again = eng.analyze(self.NET, ctx=AnalysisContext.tracing())
         assert reports_identical(again, grid)

@@ -15,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 import repro.engine.incremental as incremental
 from repro.analysis.decomposed import DecomposedAnalysis
-from repro.context import AnalysisContext
 from repro.core.integrated import IntegratedAnalysis
 from repro.core.partition import PairAlongPath
+from repro.curves.kernels import use_kernel
 from repro.curves.token_bucket import TokenBucket
 from repro.engine import IncrementalEngine, reports_identical
 from repro.network.flow import Flow
@@ -103,8 +103,9 @@ def test_load_refuses_a_record_of_another_analyzer(tmp_path):
     for other in (DecomposedAnalysis(capped_propagation=True),
                   IntegratedAnalysis()):
         assert not IncrementalEngine(other, store=store).load_sweep(net)
-    assert not IncrementalEngine(DecomposedAnalysis(), store=store) \
-        .load_sweep(net, ctx=AnalysisContext(kernel="grid"))
+    with use_kernel("grid"):
+        assert not IncrementalEngine(DecomposedAnalysis(), store=store) \
+            .load_sweep(net)
     assert IncrementalEngine(DecomposedAnalysis(), store=store) \
         .load_sweep(net)
     store.close()
@@ -206,5 +207,5 @@ class TestKey:
                                    store=None)
         assert (IntegratedAnalysis().analyze(one).meta["partition"]
                 != IntegratedAnalysis().analyze(two).meta["partition"])
-        fp = engine._fingerprint(AnalysisContext(kernel="exact"))
+        fp = engine._fingerprint()
         assert engine._sweep_key(one, fp) != engine._sweep_key(two, fp)

@@ -348,31 +348,31 @@ class TestKernelRecording:
 
 
 class TestSweepKernelSelection:
-    """The kernel a sweep is asked for reaches every point: through
-    ``ctx.kernel``, and into pool workers that were spawned rather
-    than forked (and so never saw the driver's ambient selection)."""
+    """A point records the kernel that computed it: the thread's kernel
+    in-process, and ``exact`` in a pool worker, which never enters the
+    calling thread's ``grid`` scope."""
 
     @staticmethod
     def _cold(load, kernel):
         from repro.analysis.decomposed import DecomposedAnalysis
-        from repro.context import AnalysisContext
+        from repro.curves.kernels import use_kernel
         from repro.network.tandem import CONNECTION0, build_tandem
 
-        report = DecomposedAnalysis().analyze(
-            build_tandem(4, load, 1.0), ctx=AnalysisContext(kernel=kernel))
+        with use_kernel(kernel):
+            report = DecomposedAnalysis().analyze(build_tandem(4, load, 1.0))
         return report.delay_of(CONNECTION0)
 
-    def test_ctx_kernel_selects_the_kernel(self):
-        from repro.context import AnalysisContext
+    def test_scope_kernel_labels_in_process_points(self):
+        from repro.curves.kernels import use_kernel
 
-        pts = evaluate_grid(["decomposed"], [4], [0.5], parallel=False,
-                            ctx=AnalysisContext(kernel="grid"))
+        with use_kernel("grid"):
+            pts = evaluate_grid(["decomposed"], [4], [0.5], parallel=False)
         assert pts[0].kernel == "grid"
         assert pts[0].delay.hex() == self._cold(0.5, "grid").hex()
-        # the kernels disagree here, so honouring ctx.kernel is visible
+        # the kernels disagree here, so the scope is visible
         assert pts[0].delay != self._cold(0.5, "exact")
 
-    def test_spawned_workers_use_the_sweep_kernel(self, monkeypatch):
+    def test_pool_workers_compute_exact(self, monkeypatch, tmp_path):
         import multiprocessing
 
         from repro.curves.kernels import use_kernel
@@ -380,12 +380,17 @@ class TestSweepKernelSelection:
 
         monkeypatch.setattr(mod.multiprocessing, "Pool",
                             multiprocessing.get_context("spawn").Pool)
+        ck = tmp_path / "sweep.jsonl"
         with use_kernel("grid"):
             pts = evaluate_grid(["decomposed"], [4], [0.4, 0.5],
-                                max_workers=2, timeout=120.0)
-        assert [p.kernel for p in pts] == ["grid", "grid"]
+                                max_workers=2, timeout=120.0,
+                                checkpoint=ck)
+        assert [p.kernel for p in pts] == ["exact", "exact"]
         assert [p.delay.hex() for p in pts] == [
-            self._cold(u, "grid").hex() for u in (0.4, 0.5)]
+            self._cold(u, "exact").hex() for u in (0.4, 0.5)]
+        # a resume outside the scope keeps the exact rows
+        assert set(mod._load_checkpoint(ck, "exact")) == {
+            ("decomposed", 4, u, 1.0) for u in (0.4, 0.5)}
 
 
 class TestExactlyOneRowPerPoint:

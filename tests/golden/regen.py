@@ -29,8 +29,8 @@ from typing import Callable
 
 from repro.analysis.decomposed import DecomposedAnalysis
 from repro.analysis.service_curve import ServiceCurveAnalysis
-from repro.context import AnalysisContext
 from repro.core.integrated import IntegratedAnalysis
+from repro.curves.kernels import use_kernel
 from repro.network.generators import (
     fat_tree,
     parking_lot,
@@ -104,7 +104,8 @@ def compute(name: str, kernel: str) -> dict[str, dict[str, str]]:
     net = network_of(name)
     out = {}
     for label, analyzer in ANALYZERS.items():
-        report = analyzer().analyze(net, ctx=AnalysisContext(kernel=kernel))
+        with use_kernel(kernel):
+            report = analyzer().analyze(net)
         out[label] = {flow: float(report.delay_of(flow)).hex()
                       for flow in sorted(report.delays)}
     return out

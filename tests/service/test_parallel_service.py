@@ -1,13 +1,14 @@
-"""Durable service under parallel batch admission + kernel pinning.
+"""Durable service under parallel batch admission + kernel recording.
 
-Two properties of PR 9 meet here:
+Two properties meet here:
 
 * ``AdmissionService.admit_batch`` keeps the write-ahead contract —
   every admission journaled (fsync'd) before its commit, in request
   order — while the admission *tests* run on a process pool; after a
   batch, recovery must verify bit-identically.
 * The journal records the curve kernel its bounds were produced under;
-  recovery refuses to verify or resume under a different kernel.
+  recovery refuses to verify or resume a journal recorded under the
+  oracles' ``grid`` scope, since production verifies only ``exact``.
 """
 
 import json
@@ -17,6 +18,7 @@ import pytest
 from repro.admission.requests import ConnectionRequest
 from repro.analysis.decomposed import DecomposedAnalysis
 from repro.context import AnalysisContext, MetricsRegistry
+from repro.curves.kernels import use_kernel
 from repro.curves.token_bucket import TokenBucket
 from repro.errors import RecoveryError
 from repro.network.generators import random_multicomponent
@@ -129,27 +131,34 @@ class TestServiceBatch:
 
 
 class TestKernelPinning:
+    @staticmethod
+    def grid_journal(d):
+        """A journal written by a service inside the ``grid`` scope."""
+        with use_kernel("grid"):
+            with AdmissionService(workload(), DecomposedAnalysis(),
+                                  journal_dir=d) as svc:
+                svc.admit(make_requests(1)[0])
+
     def test_fresh_journal_records_kernel(self, tmp_path):
-        with AdmissionService(workload(), DecomposedAnalysis(),
-                              journal_dir=tmp_path, kernel="grid") as svc:
-            svc.admit(make_requests(1)[0])
-            _, records, _ = load_journal(tmp_path)
+        with use_kernel("grid"):
+            with AdmissionService(workload(), DecomposedAnalysis(),
+                                  journal_dir=tmp_path) as svc:
+                svc.admit(make_requests(1)[0])
+                _, records, _ = load_journal(tmp_path)
         base = records[0]
         assert base["op"] == "base"
         assert base["kernel"] == "grid"
         assert recover_state(tmp_path).kernel == "grid"
 
     def test_default_kernel_recorded_not_blank(self, tmp_path):
-        from repro.curves.kernels import current_kernel
-
         with AdmissionService(workload(), DecomposedAnalysis(),
                               journal_dir=tmp_path) as svc:
             svc.admit(make_requests(1)[0])
-        assert recover_state(tmp_path).kernel == current_kernel()
+        assert recover_state(tmp_path).kernel == "exact"
 
     def test_snapshot_carries_kernel(self, tmp_path):
         with AdmissionService(workload(), DecomposedAnalysis(),
-                              journal_dir=tmp_path, kernel="exact",
+                              journal_dir=tmp_path,
                               snapshot_every=1) as svc:
             svc.admit(make_requests(1)[0])
         snapshot, _, _ = load_journal(tmp_path)
@@ -157,39 +166,30 @@ class TestKernelPinning:
         assert recover_state(tmp_path).kernel == "exact"
 
     def test_verify_under_wrong_kernel_refused(self, tmp_path):
-        with AdmissionService(workload(), DecomposedAnalysis(),
-                              journal_dir=tmp_path, kernel="exact") as svc:
-            svc.admit(make_requests(1)[0])
+        self.grid_journal(tmp_path / "grid")
         with pytest.raises(RecoveryError, match="recorded under curve "
-                                                "kernel 'exact'"):
-            verify_recovery(tmp_path, kernel="grid")
-        # matching expectation passes
-        assert verify_recovery(tmp_path, kernel="exact").ok
-
-    def test_verify_uses_journaled_kernel_by_default(self, tmp_path):
-        from repro.curves.kernels import use_kernel
-
+                                                "kernel 'grid'.*only "
+                                                "under 'exact'"):
+            verify_recovery(tmp_path / "grid")
         with AdmissionService(workload(), DecomposedAnalysis(),
-                              journal_dir=tmp_path, kernel="grid") as svc:
+                              journal_dir=tmp_path / "exact") as svc:
             svc.admit_batch(make_requests(4), workers=2)
-        # ambient kernel differs; verification must still re-analyze
-        # under the journaled grid kernel and match bit-for-bit
-        with use_kernel("exact"):
-            report = verify_recovery(tmp_path)
-        assert report.ok, report.mismatches
+        assert verify_recovery(tmp_path / "exact").ok
 
     def test_resume_under_wrong_kernel_refused(self, tmp_path):
-        with AdmissionService(workload(), DecomposedAnalysis(),
-                              journal_dir=tmp_path, kernel="exact") as svc:
-            svc.admit(make_requests(1)[0])
-        with pytest.raises(RecoveryError, match="two kernels"):
-            recover_service(tmp_path, analyzer=DecomposedAnalysis(),
-                            kernel="grid")
+        self.grid_journal(tmp_path)
+        for verify in (True, False):
+            # unverified too: the resumed service would append exact
+            # bounds to a grid journal
+            with pytest.raises(RecoveryError,
+                               match="curve kernel 'grid'"):
+                recover_service(tmp_path, analyzer=DecomposedAnalysis(),
+                                verify=verify)
 
     def test_resumed_service_pinned_to_journaled_kernel(self, tmp_path):
         reqs = make_requests(4)
         with AdmissionService(workload(), DecomposedAnalysis(),
-                              journal_dir=tmp_path, kernel="grid") as svc:
+                              journal_dir=tmp_path) as svc:
             svc.admit(reqs[0])
         svc2 = recover_service(tmp_path, analyzer=DecomposedAnalysis())
         try:
@@ -197,8 +197,8 @@ class TestKernelPinning:
         finally:
             svc2.close()
         # the resumed service's records (now rotated into the shutdown
-        # snapshot) stay under the journaled grid kernel
-        assert recover_state(tmp_path).kernel == "grid"
+        # snapshot) stay under the journaled exact kernel
+        assert recover_state(tmp_path).kernel == "exact"
         assert verify_recovery(tmp_path).ok
 
     def test_legacy_journal_without_kernel_tolerated(self, tmp_path):
@@ -221,8 +221,7 @@ class TestKernelPinning:
             spath.write_text(json.dumps(snap, sort_keys=True))
         state = recover_state(tmp_path)
         assert state.kernel == ""
-        # legacy journals verify under the caller's kernel expectation
-        assert verify_recovery(tmp_path, kernel="exact").ok
-        svc2 = recover_service(tmp_path, analyzer=DecomposedAnalysis(),
-                               kernel="exact")
+        # legacy journals verify and resume as exact
+        assert verify_recovery(tmp_path).ok
+        svc2 = recover_service(tmp_path, analyzer=DecomposedAnalysis())
         svc2.close()

@@ -69,7 +69,7 @@ def crashed(tmp_path, analyzer, *, tail=(("t0", (3, 4)),),
 def sweep_key(store, analyzer, network):
     engine = IncrementalEngine(analyzer, store=store)
     return engine._sweep_key(
-        network, engine._fingerprint(AnalysisContext(kernel="exact")))
+        network, engine._fingerprint())
 
 
 class Reads:

@@ -13,6 +13,7 @@ from repro.admission.requests import ConnectionRequest
 from repro.analysis.decomposed import DecomposedAnalysis
 from repro.context import AnalysisContext, MetricsRegistry
 from repro.core.integrated import IntegratedAnalysis
+from repro.curves.kernels import use_kernel
 from repro.curves.token_bucket import TokenBucket
 from repro.engine import IncrementalEngine, reports_identical
 from repro.network.flow import Flow
@@ -106,10 +107,9 @@ class TestEngineWarmStart:
 class TestKernelTagging:
     def test_exact_and_grid_never_alias(self, tmp_path):
         net = build_tandem(3, 0.7, 1.0)
-        exact_ctx = AnalysisContext(kernel="exact")
-        grid_ctx = AnalysisContext(kernel="grid")
-        cold_exact = DecomposedAnalysis().analyze(net, ctx=exact_ctx)
-        cold_grid = DecomposedAnalysis().analyze(net, ctx=grid_ctx)
+        cold_exact = DecomposedAnalysis().analyze(net)
+        with use_kernel("grid"):
+            cold_grid = DecomposedAnalysis().analyze(net)
         # sanity: the kernels genuinely disagree on this topology, so
         # aliasing would be observable
         assert (cold_exact.delay_of(CONNECTION0)
@@ -117,12 +117,13 @@ class TestKernelTagging:
 
         with AnalysisStore(tmp_path / "s") as store:
             eng = IncrementalEngine(DecomposedAnalysis(), store=store)
-            eng.analyze(net, ctx=exact_ctx)
+            eng.analyze(net)
         with AnalysisStore(tmp_path / "s") as store:
             eng = IncrementalEngine(DecomposedAnalysis(), store=store)
-            warm_grid = eng.analyze(net, ctx=grid_ctx)
+            with use_kernel("grid"):
+                warm_grid = eng.analyze(net)
             assert eng.stats.store_hits == 0  # exact entries don't alias
-            warm_exact = eng.analyze(net, ctx=exact_ctx)
+            warm_exact = eng.analyze(net)
         assert (warm_grid.delay_of(CONNECTION0).hex()
                 == cold_grid.delay_of(CONNECTION0).hex())
         assert (warm_exact.delay_of(CONNECTION0).hex()

@@ -19,10 +19,30 @@ class TestParser:
             build_parser().parse_args(["figures", "--figure", "FIG9"])
 
     def test_retired_auto_kernel_rejected(self, capsys):
-        with pytest.raises(SystemExit) as ei:
-            main(["admit", "--hops", "2", "--kernel", "auto"])
-        assert ei.value.code == 2
-        assert "invalid choice: 'auto'" in capsys.readouterr().err
+        # --kernel itself is gone: production runs only the exact kernel
+        for argv in (["admit"], ["sweep"], ["serve", "--journal", "j"],
+                     ["loadtest"], ["recover", "--journal", "j"],
+                     ["validate"]):
+            for kernel in ("auto", "exact", "grid"):
+                with pytest.raises(SystemExit) as ei:
+                    main(argv + ["--kernel", kernel])
+                assert ei.value.code == 2
+                assert "unrecognized arguments: --kernel" in \
+                    capsys.readouterr().err
+
+
+class TestImports:
+    def test_service_and_cli_leave_scipy_unloaded(self):
+        # scipy is imported by the one θ-family refinement that uses
+        # it, so starting the service or the CLI does not pay for it
+        import subprocess
+        import sys
+
+        code = ("import sys, repro.service, repro.cli; "
+                "print('scipy' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
 
 class TestAnalyze:
