@@ -40,7 +40,14 @@ class TestResolveKernel:
                 pass  # pragma: no cover
 
     def test_unknown_raises(self):
-        for name in ("sampled", "", "GRID", " exact"):
+        for name in ("sampled", ""):
+            with pytest.raises(ValueError, match="unknown curve kernel"):
+                with use_kernel(name):
+                    pass  # pragma: no cover
+
+    def test_normalizes_case_and_whitespace(self):
+        # no normalization any more: only the exact spellings are names
+        for name in ("GRID", " exact", "Exact\n"):
             with pytest.raises(ValueError, match="unknown curve kernel"):
                 with use_kernel(name):
                     pass  # pragma: no cover
@@ -50,10 +57,20 @@ class TestPrecedence:
     def test_compiled_default(self):
         assert current_kernel() == "exact"
 
-    def test_env_is_ignored(self, monkeypatch):
-        for value in ("grid", "bogus", "auto"):
-            monkeypatch.setenv("REPRO_CURVE_KERNEL", value)
-            assert current_kernel() == "exact"
+    def test_env_overrides_default(self, monkeypatch):
+        # the variable no longer overrides the exact default
+        monkeypatch.setenv("REPRO_CURVE_KERNEL", "grid")
+        assert current_kernel() == "exact"
+
+    def test_invalid_env_raises(self, monkeypatch):
+        # an invalid value no longer raises: the variable is not read
+        monkeypatch.setenv("REPRO_CURVE_KERNEL", "bogus")
+        assert current_kernel() == "exact"
+
+    def test_retired_auto_env_raises(self, monkeypatch):
+        # likewise the retired "auto": ignored, not refused
+        monkeypatch.setenv("REPRO_CURVE_KERNEL", "auto")
+        assert current_kernel() == "exact"
 
     def test_scope_overrides_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_CURVE_KERNEL", "exact")
@@ -84,10 +101,18 @@ class TestPrecedence:
         assert grid(0.0) > exact(0.0)
 
     def test_invalid_scope_name_raises(self):
-        for name in ("fast", None):
-            with pytest.raises(ValueError):
-                with use_kernel(name):
+        with pytest.raises(ValueError):
+            with use_kernel("fast"):
+                pass  # pragma: no cover
+
+    def test_none_scope_is_passthrough(self):
+        # None is no longer a passthrough: it is refused like any
+        # other non-kernel name, and the active kernel is untouched
+        with use_kernel("grid"):
+            with pytest.raises(ValueError, match="unknown curve kernel"):
+                with use_kernel(None):
                     pass  # pragma: no cover
+            assert current_kernel() == "grid"
 
     def test_retired_auto_scope_raises(self):
         with pytest.raises(ValueError, match="unknown curve kernel"):
@@ -96,13 +121,25 @@ class TestPrecedence:
 
 
 class TestContextPropagation:
-    def test_context_carries_no_kernel(self):
-        with pytest.raises(TypeError):
-            AnalysisContext(kernel="grid")
+    def test_with_kernel_copies(self):
+        # the context carries no kernel: no with_kernel, and the copies
+        # it does make leave the thread's kernel alone
         ctx = AnalysisContext()
         assert not hasattr(ctx, "with_kernel")
-        with ctx.analysis_scope("test"):
+        assert not hasattr(ctx, "kernel")
+        for copy in (ctx.with_deadline(None), ctx.with_interceptors()):
+            assert not hasattr(copy, "kernel")
+            with copy.analysis_scope("test"):
+                assert current_kernel() == "exact"
+
+    def test_analysis_scope_activates_kernel(self):
+        # analysis_scope activates no kernel of its own: exact outside
+        # every use_kernel scope, and a kernel= is refused
+        with pytest.raises(TypeError):
+            AnalysisContext(kernel="grid")
+        with AnalysisContext().analysis_scope("test"):
             assert current_kernel() == "exact"
+        assert current_kernel() == "exact"
 
     def test_analysis_scope_none_kernel_inherits(self):
         ctx = AnalysisContext()

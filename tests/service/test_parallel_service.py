@@ -171,10 +171,16 @@ class TestKernelPinning:
                                                 "kernel 'grid'.*only "
                                                 "under 'exact'"):
             verify_recovery(tmp_path / "grid")
+
+    def test_verify_uses_journaled_kernel_by_default(self, tmp_path):
+        # a journal is recorded, and verified, under exact: the only
+        # production kernel (a grid journal is refused, above)
         with AdmissionService(workload(), DecomposedAnalysis(),
-                              journal_dir=tmp_path / "exact") as svc:
+                              journal_dir=tmp_path) as svc:
             svc.admit_batch(make_requests(4), workers=2)
-        assert verify_recovery(tmp_path / "exact").ok
+        assert recover_state(tmp_path).kernel == "exact"
+        report = verify_recovery(tmp_path)
+        assert report.ok, report.mismatches
 
     def test_resume_under_wrong_kernel_refused(self, tmp_path):
         self.grid_journal(tmp_path)
