@@ -35,8 +35,6 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence
 
-import networkx as nx
-
 from repro.admission.controller import AdmissionController
 from repro.admission.requests import AdmissionDecision, ConnectionRequest
 from repro.analysis.decomposed import DecomposedAnalysis
@@ -49,6 +47,7 @@ from repro.engine.parallel import (
     write_seeds,
 )
 from repro.errors import AnalysisError, FlowError, InstabilityError
+from repro.network.topology import Network
 
 __all__ = ["plan_batch", "PlannedBatch"]
 
@@ -137,6 +136,36 @@ class _UnionFind:
             self._parent[rb] = ra
 
 
+def _group_requests(network: Network,
+                    placed: Sequence[tuple[int, ConnectionRequest]],
+                    ) -> list[tuple[list, list]]:
+    """Group *placed* ``(index, request)`` pairs by weak connectivity of
+    the union of the server graph and the requests' paths.
+
+    Requests sharing a name join one group too: only the serial order
+    decides which of them a duplicate name refuses.  Each group comes
+    with its component's servers in network order; groups are in the
+    order of their first request.
+    """
+    uf = _UnionFind()
+    for a in network.servers:
+        for b in network.successors(a):
+            uf.union(a, b)
+    first_of_name: dict[str, object] = {}
+    for _, request in placed:
+        path = request.path
+        for a, b in zip(path, path[1:]):
+            uf.union(a, b)
+        uf.union(first_of_name.setdefault(request.name, path[0]), path[0])
+    groups: dict[object, list[tuple[int, ConnectionRequest]]] = {}
+    for item in placed:
+        groups.setdefault(uf.find(item[1].path[0]), []).append(item)
+    root_of = {sid: uf.find(sid) for sid in network.servers}
+    return [(items, [sid for sid, r in root_of.items() if r == root])
+            for root, items in sorted(groups.items(),
+                                      key=lambda g: g[1][0][0])]
+
+
 def plan_batch(controller: AdmissionController,
                requests: Sequence[ConnectionRequest], *,
                workers: int,
@@ -201,43 +230,20 @@ def plan_batch(controller: AdmissionController,
     if len(placed) < 2:
         return None
 
-    # -- group by weak connectivity of the union graph -----------------
-    graph = network.server_graph
-    for _, request in placed:
-        graph.add_edges_from(zip(request.path, request.path[1:]))
-    comp_of: dict = {}
-    for k, comp in enumerate(nx.weakly_connected_components(graph)):
-        for sid in comp:
-            comp_of[sid] = k
-    uf = _UnionFind()
-    first_of_name: dict[str, int] = {}
-    for _, request in placed:
-        root = comp_of[request.path[0]]
-        if request.name in first_of_name:
-            uf.union(first_of_name[request.name], root)
-        else:
-            first_of_name[request.name] = root
-    groups: dict[int, list[tuple[int, ConnectionRequest]]] = {}
-    for idx, request in placed:
-        groups.setdefault(uf.find(comp_of[request.path[0]]),
-                          []).append((idx, request))
-    if len(groups) < 2:
+    grouped = _group_requests(network, placed)
+    if len(grouped) < 2:
         return None
 
     # -- evaluate groups on the pool -----------------------------------
     store = controller.store
     store_path = str(store.path) if store is not None else None
     want_records = controller.engine is not None or store is not None
-    payloads = []
-    for items in sorted(groups.values(), key=lambda g: g[0][0]):
-        roots = {uf.find(comp_of[r.path[0]]) for _, r in items}
-        keep = {sid for sid in network.servers
-                if uf.find(comp_of[sid]) in roots}
-        payloads.append((subnetwork(network, keep), items,
-                         base.capped_propagation,
-                         controller._budget, want_records, store_path))
+    payloads = [(subnetwork(network, keep), items,
+                 base.capped_propagation,
+                 controller._budget, want_records, store_path)
+                for items, keep in grouped]
 
-    ctx.count("parallel.batch_groups", len(groups))
+    ctx.count("parallel.batch_groups", len(grouped))
     seeds: list = []
     listener = controller._listener
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -23,10 +23,8 @@ from __future__ import annotations
 import abc
 from typing import Hashable, Sequence
 
-import networkx as nx
-
 from repro.errors import TopologyError
-from repro.network.topology import Network
+from repro.network.topology import Network, lexicographic_order
 
 __all__ = [
     "Partition",
@@ -51,7 +49,7 @@ class Partition:
 
     def __init__(self, network: Network, blocks: Sequence[Block]) -> None:
         seen: set[ServerId] = set()
-        g = network.server_graph
+        servers = network.servers
         for blk in blocks:
             if len(blk) not in (1, 2):
                 raise TopologyError(
@@ -60,38 +58,39 @@ class Partition:
                 if sid in seen:
                     raise TopologyError(
                         f"server {sid!r} appears in two blocks")
-                if sid not in g:
+                if sid not in servers:
                     raise TopologyError(f"unknown server {sid!r} in block")
                 seen.add(sid)
-            if len(blk) == 2 and not g.has_edge(blk[0], blk[1]):
+            if len(blk) == 2 and blk[1] not in network.successors(blk[0]):
                 raise TopologyError(
                     f"paired block {blk!r} has no server-graph edge "
                     f"{blk[0]!r} -> {blk[1]!r}")
-        missing = set(g.nodes) - seen
+        missing = set(servers) - seen
         if missing:
             raise TopologyError(
                 f"partition does not cover servers {sorted(map(str, missing))}")
 
-        quotient = self._quotient_graph(g, blocks)
-        if not nx.is_directed_acyclic_graph(quotient):
+        order = lexicographic_order(self._quotient_graph(network, blocks))
+        if order is None:
             raise TopologyError(
                 "contracting the blocks creates a cycle; choose a "
                 "different pairing")
-        order = list(nx.lexicographical_topological_sort(
-            quotient, key=lambda b: str(b)))
         self.blocks: tuple[Block, ...] = tuple(order)
         self._block_of = {sid: blk for blk in self.blocks for sid in blk}
 
     @staticmethod
-    def _quotient_graph(g: nx.DiGraph,
-                        blocks: Sequence[Block]) -> nx.DiGraph:
+    def _quotient_graph(network: Network, blocks: Sequence[Block],
+                        ) -> dict[Block, dict[Block, None]]:
+        """Each block mapped to the blocks its servers' edges reach."""
         block_of = {sid: tuple(blk) for blk in blocks for sid in blk}
-        q = nx.DiGraph()
-        q.add_nodes_from(tuple(blk) for blk in blocks)
-        for a, b in g.edges:
-            ba, bb = block_of[a], block_of[b]
-            if ba != bb:
-                q.add_edge(ba, bb)
+        q: dict[Block, dict[Block, None]] = {
+            tuple(blk): {} for blk in blocks}
+        for a in network.servers:
+            ba = block_of[a]
+            for b in network.successors(a):
+                bb = block_of[b]
+                if ba != bb:
+                    q[ba][bb] = None
         return q
 
     def block_of(self, server_id: ServerId) -> Block:
@@ -173,7 +172,6 @@ class GreedyPairing(PartitionStrategy):
     """
 
     def partition(self, network: Network) -> Partition:
-        g = network.server_graph
         weight: dict[tuple[ServerId, ServerId], float] = {}
         for f in network.iter_flows():
             for a, b in zip(f.path, f.path[1:]):
@@ -185,7 +183,7 @@ class GreedyPairing(PartitionStrategy):
             if a in paired or b in paired:
                 continue
             candidate = pairs + [(a, b)]
-            remaining = [(s,) for s in g.nodes
+            remaining = [(s,) for s in network.servers
                          if s not in paired and s not in (a, b)]
             try:
                 Partition(network, candidate + remaining)

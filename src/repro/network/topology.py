@@ -24,6 +24,7 @@ parent or sibling without comparing every flow.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -31,14 +32,13 @@ from operator import attrgetter
 from types import MappingProxyType
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
-import networkx as nx
-
 from repro.errors import InstabilityError, TopologyError
 from repro.network.flow import Flow
 from repro.utils.hashing import stable_digest
 from repro.utils.validation import check_positive
 
-__all__ = ["ServerSpec", "Network", "Discipline", "FlowEdit"]
+__all__ = ["ServerSpec", "Network", "Discipline", "FlowEdit",
+           "lexicographic_order"]
 
 ServerId = Hashable
 Edge = tuple[ServerId, ServerId]
@@ -118,6 +118,63 @@ class FlowEdit:
 
 def _edges(flow: Flow) -> Iterator[Edge]:
     return zip(flow.path, flow.path[1:])
+
+
+def lexicographic_order(succ: Mapping[Hashable, Iterable[Hashable]],
+                        ) -> list | None:
+    """The lexicographic topological order of a directed graph, or None
+    when the graph has a cycle.
+
+    *succ* maps every node, in insertion order, to its distinct
+    successors.  Of the nodes whose predecessors are all placed, the
+    next is the least by ``str(node)``, then by insertion position, so
+    the order is unique even where ids collide under ``str`` (``1``
+    and ``"1"``).
+    """
+    index = {n: i for i, n in enumerate(succ)}
+    indegree = dict.fromkeys(succ, 0)
+    for targets in succ.values():
+        for v in targets:
+            indegree[v] += 1
+    ready = [(str(n), i, n) for n, i in index.items() if not indegree[n]]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        node = heapq.heappop(ready)[2]
+        order.append(node)
+        for v in succ[node]:
+            indegree[v] -= 1
+            if not indegree[v]:
+                heapq.heappush(ready, (str(v), index[v], v))
+    return order if len(order) == len(index) else None
+
+
+def _find_cycle(succ: Mapping[ServerId, Sequence[ServerId]]) -> list[Edge]:
+    """The edges of one cycle of a cyclic graph, found by depth-first
+    search (an empty list for an acyclic one)."""
+    done: set[ServerId] = set()
+    for root in succ:
+        if root in done:
+            continue
+        path = [root]
+        on_path = {root}
+        stack = [iter(succ[root])]
+        while stack:
+            for w in stack[-1]:
+                if w in on_path:
+                    cycle = path[path.index(w):] + [w]
+                    return list(zip(cycle, cycle[1:]))
+                if w not in done:
+                    path.append(w)
+                    on_path.add(w)
+                    stack.append(iter(succ[w]))
+                    break
+            else:
+                stack.pop()
+                node = path.pop()
+                on_path.discard(node)
+                done.add(node)
+    return []
 
 
 class Network:
@@ -274,7 +331,7 @@ class Network:
                 uses = recount
 
         if base is not None and not changed:
-            graph = base._graph
+            succ = base._succ
             is_dag = base._is_dag
             topo = base._topo
             if all(bool(at[sid]) == bool(base._at[sid]) for sid in joined):
@@ -282,18 +339,21 @@ class Network:
             else:
                 active = None
         else:
-            graph = nx.DiGraph()
-            graph.add_nodes_from(servers)
-            graph.add_edges_from(uses)
-            base_dag = base is None or base._is_dag
-            # Dropping edges keeps a DAG acyclic: test only new edges.
-            is_dag = (nx.is_directed_acyclic_graph(graph)
-                      if grew or not base_dag else True)
+            succ = {sid: [] for sid in servers}
+            for a, b in uses:
+                succ[a].append(b)
             topo = active = None
+            # Dropping edges keeps a DAG acyclic: test only new edges.
+            if grew or not (base is None or base._is_dag):
+                order = lexicographic_order(succ)
+                is_dag = order is not None
+                if is_dag:
+                    topo = tuple(order)
+            else:
+                is_dag = True
         if not is_dag and not allow_cycles:
-            cycle = nx.find_cycle(graph)
             raise TopologyError(
-                f"server graph has a cycle ({cycle}); pass "
+                f"server graph has a cycle ({_find_cycle(succ)}); pass "
                 "allow_cycles=True and use the feedback analysis for "
                 "non-feed-forward networks")
 
@@ -304,7 +364,7 @@ class Network:
         self._over = frozenset(over)
         self._ordered = ordered
         self._uses = uses
-        self._graph = graph
+        self._succ: dict[ServerId, list[ServerId]] = succ
         self._is_dag = is_dag
         self._topo: tuple[ServerId, ...] | None = topo
         self._active: Mapping[ServerId, int] | None = active
@@ -328,11 +388,6 @@ class Network:
     def flows(self) -> Mapping[str, Flow]:
         """Read-only view of flow name to flow."""
         return MappingProxyType(self._flows)
-
-    @property
-    def server_graph(self) -> nx.DiGraph:
-        """A copy of the directed server graph induced by flow paths."""
-        return self._graph.copy()
 
     def server(self, server_id: ServerId) -> ServerSpec:
         """Look up a server spec; raises :class:`TopologyError` if absent."""
@@ -360,8 +415,10 @@ class Network:
             raise TopologyError(f"unknown server {server_id!r}") from None
 
     def successors(self, server_id: ServerId) -> Iterator[ServerId]:
-        """The servers some flow visits right after *server_id*."""
-        return iter(self._graph.succ[server_id])
+        """The servers some flow visits right after *server_id*, in the
+        order of their edges' first use over the flows in insertion
+        order (shortest-path tie breaks depend on it)."""
+        return iter(self._succ[server_id])
 
     @property
     def is_feedforward(self) -> bool:
@@ -398,8 +455,7 @@ class Network:
                 "cyclic server graph has no topological order; use the "
                 "feedback analysis")
         if self._topo is None:
-            self._topo = tuple(nx.lexicographical_topological_sort(
-                self._graph, key=lambda n: str(n)))
+            self._topo = tuple(lexicographic_order(self._succ))
         return list(self._topo)
 
     def active_servers(self) -> Mapping[ServerId, int]:

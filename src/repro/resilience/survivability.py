@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-import networkx as nx
-
 from repro.analysis.base import Analyzer, DelayReport
 from repro.context import NULL_CONTEXT, AnalysisContext
 from repro.errors import (
@@ -149,12 +147,73 @@ def _reroute_path(network: Network, flow: Flow,
     src, dst = flow.path[0], flow.path[-1]
     if src in failed or dst in failed:
         return None
-    graph = network.server_graph
-    graph.remove_nodes_from(failed)
-    try:
-        return tuple(nx.shortest_path(graph, src, dst))
-    except (nx.NetworkXNoPath, nx.NodeNotFound):
+    # Successors in first-use order, predecessors in server order:
+    # together they pick among equally short reroutes, so neither
+    # order may change.
+    succ: dict = {}
+    pred: dict = {}
+    for a in network.servers:
+        if a in failed:
+            continue
+        succ[a] = [b for b in network.successors(a) if b not in failed]
+        for b in succ[a]:
+            pred.setdefault(b, []).append(a)
+    return _shortest_path(succ, pred, src, dst)
+
+
+def _shortest_path(succ: dict, pred: dict, source, target) -> tuple | None:
+    """A shortest path from *source* to *target*, or None.
+
+    A bidirectional breadth-first search: it grows the smaller of the
+    two frontiers by one level, over successors forward and
+    predecessors backward, and stops at the first node both searches
+    reach.  Which of several shortest paths it returns depends on the
+    order of *succ* and *pred*.
+    """
+    if source == target:
+        return (source,)
+    before = {source: None}  # each forward-reached node's predecessor
+    after = {target: None}   # each backward-reached node's successor
+    forward, backward = [source], [target]
+    while forward and backward:
+        if len(forward) <= len(backward):
+            forward, meet = _advance(forward, succ, before, after)
+        else:
+            backward, meet = _advance(backward, pred, after, before)
+        if meet is not None:
+            break
+    else:
         return None
+    path = []
+    node = meet
+    while node is not None:
+        path.append(node)
+        node = before[node]
+    path.reverse()
+    node = after[meet]
+    while node is not None:
+        path.append(node)
+        node = after[node]
+    return tuple(path)
+
+
+def _advance(level: list, adj: dict, reached: dict, other: dict,
+             ) -> tuple[list, object]:
+    """Grow one search of :func:`_shortest_path` by a level.
+
+    Returns the next level and the first node the other search has
+    reached (None if none yet); *reached* maps each new node to the
+    node it was reached from.
+    """
+    nxt = []
+    for v in level:
+        for w in adj.get(v, ()):
+            if w not in reached:
+                nxt.append(w)
+                reached[w] = v
+            if w in other:
+                return nxt, w
+    return nxt, None
 
 
 def _verdict(flow: Flow, report: DelayReport, baseline: float,
