@@ -38,6 +38,14 @@ plus the one record (``checkpoint_recovery_excess_reads`` at most 1),
 a count that does not depend on the host.  Recovery's median latency
 is reported beside it.
 
+A fourth row, ``startup``, measures a service's cold start in a fresh
+interpreter: the time ``import repro.service, repro.cli`` takes, the
+interpreter's peak RSS once a store-backed Decomposed service is open
+and has admitted one request, and whether numpy was loaded by then.
+The admission service runs on the standard library alone, so
+``startup.numpy_loaded`` is gated ``false``; the two measurements
+depend on the host and are recorded only.
+
 Runs two ways:
 
 * ``python benchmarks/bench_store.py`` — standalone, writes
@@ -51,15 +59,20 @@ Runs two ways:
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import random
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
+import textwrap
 import time
 from pathlib import Path
 
+import repro
 from repro.admission.requests import ConnectionRequest
 from repro.analysis.decomposed import DecomposedAnalysis
 from repro.engine import IncrementalEngine, affected_cone
@@ -305,6 +318,57 @@ def run_checkpointed_recovery(work_dir: str, quick: bool = False) -> dict:
     }
 
 
+#: the startup row's interpreter: times the imports, opens a store-backed
+#: service, admits one request, closes it and reports as one JSON line
+STARTUP = textwrap.dedent("""
+    import json, resource, sys, time
+
+    t0 = time.perf_counter()
+    import repro.service, repro.cli
+    import_s = time.perf_counter() - t0
+
+    from repro.admission.requests import ConnectionRequest
+    from repro.analysis.decomposed import DecomposedAnalysis
+    from repro.curves.token_bucket import TokenBucket
+    from repro.network.topology import Network, ServerSpec
+    from repro.store import AnalysisStore
+
+    work = sys.argv[1]
+    with AnalysisStore(work + "/store") as store:
+        svc = repro.service.AdmissionService(
+            Network([ServerSpec(1), ServerSpec(2)], []),
+            DecomposedAnalysis(), journal_dir=work + "/journal",
+            store=store)
+        request = ConnectionRequest("probe", TokenBucket(1.0, 0.1),
+                                    (1, 2), 1e3)
+        assert svc.admit(request).admitted
+        svc.close()
+
+    # this process's own high-water mark: ru_maxrss also counts the
+    # launching process's peak, which Linux carries across exec
+    try:
+        with open("/proc/self/status") as status:
+            kib = next(int(line.split()[1]) for line in status
+                       if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print(json.dumps({"import_s": import_s, "max_rss_mb": kib / 1024.0,
+                      "numpy_loaded": "numpy" in sys.modules}))
+""")
+
+
+def run_startup(work_dir: str) -> dict:
+    """A store-backed service's cold start in a fresh interpreter."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH", "")) if p)
+    out = subprocess.run([sys.executable, "-c", STARTUP, work_dir],
+                         env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    return {"startup": json.loads(out.stdout.splitlines()[-1])}
+
+
 # ----------------------------------------------------------------------
 # pytest entry points
 # ----------------------------------------------------------------------
@@ -330,6 +394,12 @@ def test_recovery_after_a_checkpoint_reads_its_cone(tmp_path):
     assert result["checkpoint_recovery_excess_reads"] <= 1
 
 
+def test_service_starts_without_numpy(tmp_path):
+    startup = run_startup(str(tmp_path))["startup"]
+    assert startup["numpy_loaded"] is False
+    assert startup["import_s"] > 0 and startup["max_rss_mb"] > 0
+
+
 # ----------------------------------------------------------------------
 # standalone entry point
 # ----------------------------------------------------------------------
@@ -347,6 +417,8 @@ def main() -> int:
         result.update(run_recovery(d, quick=quick))
     with tempfile.TemporaryDirectory(prefix="repro-bench-recovery-") as d:
         result.update(run_checkpointed_recovery(d, quick=quick))
+    with tempfile.TemporaryDirectory(prefix="repro-bench-startup-") as d:
+        result.update(run_startup(d))
 
     out = write_artifact("store", result)
     size = "quick" if quick else "full"
@@ -367,6 +439,10 @@ def main() -> int:
           f"{result['checkpoint_recovery_store_reads']} store read(s) for "
           f"a cone of {result['checkpoint_recovery_cone_servers']} "
           f"server(s)")
+    startup = result["startup"]
+    print(f"BENCH-STORE startup: import {startup['import_s'] * 1e3:.0f} ms,"
+          f" peak RSS {startup['max_rss_mb']:.1f} MB, numpy "
+          f"{'loaded' if startup['numpy_loaded'] else 'not loaded'}")
 
     rc = 0
     for m in (result["mismatches"] + result["recovery_mismatches"]

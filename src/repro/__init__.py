@@ -67,9 +67,19 @@ from repro.resilience import (
     render_survivability,
     survivability,
 )
-from repro.sim import NetworkSimulator, simulate_greedy
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name: str):
+    # the simulator computes with numpy; it loads on first use, so the
+    # analyses and the admission service run without numpy
+    if name in ("NetworkSimulator", "simulate_greedy"):
+        from repro import sim
+
+        return getattr(sim, name)
+    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

@@ -48,7 +48,6 @@ from repro.eval.workloads import quick_sweep
 from repro.loadgen.models import WORKLOADS
 from repro.network.tandem import CONNECTION0, build_tandem
 from repro.network.topology import Network, ServerSpec
-from repro.sim.simulator import simulate_greedy
 
 __all__ = ["main", "build_parser"]
 
@@ -465,6 +464,8 @@ def _cmd_figures(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from repro.sim.simulator import simulate_greedy
+
     net = build_tandem(args.hops, args.load, args.sigma)
     bound = IntegratedAnalysis().analyze(net).delay_of(CONNECTION0)
     sim = simulate_greedy(net, horizon=args.horizon,

@@ -35,8 +35,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from repro.context.metrics import kernel_count
 from repro.curves.piecewise import PiecewiseLinearCurve
 from repro.errors import CurveError
@@ -214,6 +212,10 @@ def family_pair_bound(f12: PiecewiseLinearCurve,
     tmax2 = 2.0 * scale2 / c2 if scale2 > 0 else 1.0 / c2
 
     objective = _prepared_objective(f12, sigma1, rho1, sigma2, rho2, c1, c2)
+    # imported here, not at module load: np.linspace keeps the grid
+    # bit-identical, and nothing else on the Decomposed path needs numpy
+    import numpy as np
+
     grid2 = np.linspace(0.0, tmax2, coarse).tolist()
     best = (math.inf, 0.0, 0.0)
     for t1 in np.linspace(0.0, tmax1, coarse).tolist():

@@ -28,11 +28,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-import numpy as np
-
 from repro.context.metrics import kernel_count
-from repro.curves import numeric
-from repro.curves.exact import exact_convolve, exact_deconvolve
 from repro.curves.kernels import current_kernel
 from repro.curves.piecewise import PiecewiseLinearCurve
 from repro.errors import CurveError
@@ -86,6 +82,8 @@ def _grid_convolve(f: PiecewiseLinearCurve, g: PiecewiseLinearCurve,
         return f.convolve(g)       # closed forms stay exact on any kernel
     except CurveError:
         pass
+    from repro.curves import numeric
+
     grid = _auto_grid(f, g, horizon=horizon)
     out = numeric.grid_convolve(numeric.sample(f, grid),
                                 numeric.sample(g, grid))
@@ -102,6 +100,8 @@ def convolve(f: PiecewiseLinearCurve, g: PiecewiseLinearCurve,
     """
     if current_kernel() == "grid":
         return _grid_convolve(f, g, horizon)
+    from repro.curves.exact import exact_convolve
+
     return exact_convolve(f, g)
 
 
@@ -132,6 +132,8 @@ def convolve_all(curves: Iterable[PiecewiseLinearCurve],
 def _grid_deconvolve(f: PiecewiseLinearCurve, g: PiecewiseLinearCurve,
                      horizon: float | None) -> PiecewiseLinearCurve:
     """``f ⊘ g`` on the sampled backend (padded, truncated sup)."""
+    from repro.curves import numeric
+
     kernel_count("curve.deconvolve")
     grid = _auto_grid(f, g, horizon=horizon)
     out = numeric.grid_deconvolve(numeric.sample(f, grid),
@@ -171,11 +173,15 @@ def deconvolve(f: PiecewiseLinearCurve, g: PiecewiseLinearCurve,
     """
     if current_kernel() == "grid":
         return _grid_deconvolve(f, g, horizon)
+    from repro.curves.exact import exact_deconvolve
+
     return exact_deconvolve(f, g)
 
 
 def _max_abs_slope(c: PiecewiseLinearCurve) -> float:
     """Largest absolute segment slope of *c* (Lipschitz constant)."""
+    import numpy as np
+
     return float(np.max(np.abs(c.slopes())))
 
 
@@ -193,6 +199,10 @@ def hdev(arrival: PiecewiseLinearCurve,
         return arrival.horizontal_deviation(service)
     if arrival.final_slope > service.final_slope + 1e-12:
         return float("inf")
+    import numpy as np
+
+    from repro.curves import numeric
+
     grid = _auto_grid(arrival, service)
     sampled = numeric.grid_hdev(numeric.sample(arrival, grid),
                                 numeric.sample(service, grid), grid)
@@ -215,6 +225,8 @@ def vdev(arrival: PiecewiseLinearCurve,
         return arrival.vertical_deviation(service)
     if arrival.final_slope > service.final_slope + 1e-12:
         return float("inf")
+    from repro.curves import numeric
+
     grid = _auto_grid(arrival, service)
     sampled = numeric.grid_vdev(numeric.sample(arrival, grid),
                                 numeric.sample(service, grid))

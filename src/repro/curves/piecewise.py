@@ -27,7 +27,9 @@ numpy's per-call overhead costs more than the arithmetic.  Breakpoints
 are therefore kept as lists of Python floats and every operation runs
 in plain floats; only the vectorized :meth:`PiecewiseLinearCurve.sample`
 (array arguments) uses numpy.  ``x`` and ``y`` are still readable as
-read-only float64 arrays, built on first use.
+read-only float64 arrays, built on first use.  numpy is imported by
+those methods alone, so a program that computes with lists and Python
+floats never loads it.
 
 Every result is bit-identical to the numpy formulas the class used
 before (``tests/curves/reference_piecewise.py`` keeps that code as the
@@ -56,16 +58,18 @@ See ``docs/KERNELS.md`` for the rule a change to this module must keep.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from operator import lt
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.context.metrics import kernel_count
 from repro.errors import CurveError
 from repro.utils.hashing import Encoded, encode_curve
 from repro.utils.tolerance import EPS, close
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["PiecewiseLinearCurve"]
 
@@ -73,17 +77,40 @@ _INF = math.inf
 _NAN = math.nan
 _isfinite = math.isfinite
 
-#: Element types converted with ``float()``; anything else goes through
-#: numpy's float64 conversion (same values, same errors as before).
-_PLAIN = frozenset((float, int, np.float64))
+#: Element types converted with ``float()``, and ``np.float64`` once
+#: numpy is loaded; anything else goes through numpy's float64
+#: conversion (same values, same errors as before).
+_PLAIN = frozenset((float, int))
+
+
+def _numpy_plain(types: set) -> bool:
+    """True when *types* are in :data:`_PLAIN` but for ``np.float64``.
+
+    An ``np.float64`` exists only once numpy is in ``sys.modules``, so
+    numpy is looked up there, never imported.
+    """
+    np = sys.modules.get("numpy")
+    return np is not None and types <= _PLAIN | {np.float64}
 
 
 def _float_list(v) -> list | None:
     """*v* as a list of Python floats; ``None`` when it is not 1-D."""
-    if type(v) in (list, tuple) and set(map(type, v)) <= _PLAIN:
-        return [float(e) for e in v]
+    if type(v) in (list, tuple):
+        types = set(map(type, v))
+        if types <= _PLAIN or _numpy_plain(types):
+            return [float(e) for e in v]
+    import numpy as np
     a = np.asarray(v, dtype=float)
     return a.tolist() if a.ndim == 1 else None
+
+
+def _scalar(v):
+    """*v* as a Python float; an array of *v* when it is not a scalar."""
+    if type(v) in _PLAIN or _numpy_plain({type(v)}):
+        return float(v)
+    import numpy as np
+    a = np.asarray(v, dtype=float)
+    return a if a.ndim else float(a)
 
 
 def _check(xs: list | None, ys: list | None, final_slope: float) -> None:
@@ -104,6 +131,7 @@ def _check(xs: list | None, ys: list | None, final_slope: float) -> None:
 
 def _frozen(values) -> np.ndarray:
     """*values* as a read-only float64 array (an array of that kind as is)."""
+    import numpy as np
     a = np.asarray(values, dtype=float)
     a.setflags(write=False)
     return a
@@ -287,10 +315,9 @@ class PiecewiseLinearCurve:
         whole real line.
         """
         if type(t) is not float:
-            ta = np.asarray(t, dtype=float)
-            if ta.ndim:
-                return self.sample(ta)
-            t = float(ta)
+            t = _scalar(t)
+            if type(t) is not float:
+                return self.sample(t)
         return self._value(t)
 
     def _value(self, t: float) -> float:
@@ -326,6 +353,7 @@ class PiecewiseLinearCurve:
 
     def sample(self, times: np.ndarray) -> np.ndarray:
         """Vectorized evaluation returning an ndarray (grid kernels)."""
+        import numpy as np
         ta = np.asarray(times, dtype=float)
         x, y = self.x, self.y
         out = np.interp(ta, x, y)
@@ -346,6 +374,7 @@ class PiecewiseLinearCurve:
 
     def slopes(self) -> np.ndarray:
         """Per-segment slopes, including the final slope (length == len(x))."""
+        import numpy as np
         return np.array(self._slopes())
 
     def is_nondecreasing(self, eps: float = EPS) -> bool:
@@ -614,10 +643,10 @@ class PiecewiseLinearCurve:
             raise CurveError("pseudo_inverse requires a nondecreasing curve")
         kernel_count("curve.pseudo_inverse")
         if type(v) is not float:
-            va = np.asarray(v, dtype=float)
-            if va.ndim:
-                return np.array(self._inverse(va.tolist()), dtype=float)
-            v = float(va)
+            v = _scalar(v)
+            if type(v) is not float:
+                import numpy as np
+                return np.array(self._inverse(v.tolist()), dtype=float)
         return self._inverse([v])[0]
 
     def _inverse(self, targets: list) -> list:

@@ -19,7 +19,6 @@ from repro.core.integrated import IntegratedAnalysis
 from repro.network.generators import parking_lot, random_feedforward
 from repro.network.tandem import build_tandem
 from repro.network.topology import Network
-from repro.sim.adversary import simulate_adversarial
 from repro.validate.oracles import (
     _longest_flow,
     packetizable,
@@ -85,6 +84,8 @@ def tightness_study(topologies: Mapping[str, Callable[[], Network]]
     (:func:`~repro.validate.oracles.packetizable`), and observed delays
     may exceed the fluid bound by the per-hop packetization slack.
     """
+    from repro.sim.adversary import simulate_adversarial
+
     topologies = topologies or default_topologies()
     rows = []
     for name, factory in topologies.items():

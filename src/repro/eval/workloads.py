@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = ["Sweep", "default_sweep", "quick_sweep"]
 
 
@@ -48,6 +46,8 @@ class Sweep:
 
 def default_sweep(hops: tuple[int, ...] = (2, 4, 6, 8)) -> Sweep:
     """The paper's sweep: U from 0.1 to 0.9 in steps of 0.1."""
+    import numpy as np
+
     loads = tuple(np.round(np.arange(0.1, 0.95, 0.1), 10))
     return Sweep(loads=loads, hops=hops)
 

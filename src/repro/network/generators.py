@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-import numpy as np
-
 from repro.curves.token_bucket import TokenBucket
 from repro.network.flow import Flow
 from repro.network.topology import Network, ServerSpec
@@ -100,6 +98,8 @@ def random_feedforward(seed: int, n_servers: int = 5,
     if not (0.0 < max_utilization < 1.0):
         raise ValueError(
             f"max_utilization must be in (0,1), got {max_utilization}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     loads = np.zeros(n_servers)
     flows = []

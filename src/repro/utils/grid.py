@@ -9,8 +9,10 @@ so tests can sweep resolution in one place (ablation ABL1 in DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -42,6 +44,8 @@ class TimeGrid:
     @property
     def times(self) -> np.ndarray:
         """The sample instants as a 1-D float array."""
+        import numpy as np
+
         return np.linspace(0.0, self.horizon, self.n)
 
     def index_of(self, t: float) -> int:

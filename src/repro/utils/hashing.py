@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import sys
 from typing import Iterable
-
-import numpy as np
 
 __all__ = ["stable_digest", "digest_update", "Encoded", "encode_curve",
            "encode_flow", "encode_source"]
@@ -27,7 +26,6 @@ __all__ = ["stable_digest", "digest_update", "Encoded", "encode_curve",
 # value itself, or a length header), packed in one call.
 _TAGGED_FLOAT = struct.Struct("<cd").pack
 _TAGGED_INT = struct.Struct("<cq").pack
-_F64 = np.dtype(np.float64)
 _pack = struct.pack
 
 
@@ -135,16 +133,13 @@ def _encode(obj, out: list) -> None:
     float64 arrays (both appended as they are), strings, bools and
     ints.  A subclass, or an array of another dtype or layout, is
     converted to that exact base value, which encodes to the same
-    bytes.
+    bytes.  An array can exist only once numpy is loaded, so numpy is
+    looked up in ``sys.modules``, never imported.
     """
     t = type(obj)
     if t is float:
         out.append(_TAGGED_FLOAT(b"f", obj))
     elif t is Encoded:
-        out.append(obj)
-    elif (t is np.ndarray and obj.dtype == _F64
-          and obj.flags.c_contiguous):
-        out.append(_TAGGED_INT(b"a", obj.nbytes))
         out.append(obj)
     elif t is str:
         data = obj.encode("utf-8")
@@ -174,8 +169,14 @@ def _encode(obj, out: list) -> None:
         _encode(float.__float__(obj), out)
     elif isinstance(obj, str):
         _encode(str.__str__(obj), out)
-    elif isinstance(obj, np.ndarray):
-        _encode(np.ascontiguousarray(obj, dtype=np.float64), out)
+    elif ((np := sys.modules.get("numpy")) is not None
+          and isinstance(obj, np.ndarray)):
+        if (t is np.ndarray and obj.dtype == np.float64
+                and obj.flags.c_contiguous):
+            out.append(_TAGGED_INT(b"a", obj.nbytes))
+            out.append(obj)
+        else:
+            _encode(np.ascontiguousarray(obj, dtype=np.float64), out)
     elif isinstance(obj, (tuple, list)):
         _encode(tuple(obj), out)
     else:

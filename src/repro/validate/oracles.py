@@ -28,15 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from repro.analysis.base import Analyzer
 from repro.analysis.decomposed import DecomposedAnalysis
 from repro.context import NULL_CONTEXT, AnalysisContext
 from repro.core.integrated import IntegratedAnalysis
-from repro.curves import numeric
 from repro.curves.kernels import use_kernel
 from repro.curves.piecewise import PiecewiseLinearCurve
 from repro.curves.token_bucket import TokenBucket
@@ -44,8 +41,10 @@ from repro.network.flow import Flow
 from repro.network.generators import with_burst
 from repro.network.topology import Network
 from repro.resilience.faults import BurstInflation
-from repro.sim.adversary import simulate_adversarial
 from repro.utils.grid import make_grid
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Violation",
@@ -149,6 +148,8 @@ def check_soundness(network: Network, target: str | None = None, *,
     adversarial toward this flow or not.  Bursts below one packet are
     simulated and bounded as one packet (:func:`packetizable`).
     """
+    from repro.sim.adversary import simulate_adversarial
+
     analyzers = dict(analyzers) if analyzers is not None \
         else default_analyzers()
     if target is None:
@@ -309,6 +310,8 @@ def _random_convex(rng: np.random.Generator,
 
 
 def _lipschitz(c: PiecewiseLinearCurve) -> float:
+    import numpy as np
+
     return float(np.max(np.abs(c.slopes())))
 
 
@@ -335,6 +338,10 @@ def check_kernels(seed: int, *, trials: int = 8,
 
     each within its resolution-derived tolerance (module docstring).
     """
+    import numpy as np
+
+    from repro.curves import numeric
+
     rng = np.random.default_rng(seed)
     violations = []
 
@@ -440,6 +447,8 @@ def check_exact_grid(seed: int, *, trials: int = 6,
 
     A violation in either direction means a kernel (or a pad) is wrong.
     """
+    import numpy as np
+
     from repro.curves.exact import exact_convolve, exact_deconvolve
     from repro.curves.operations import _auto_grid
     from repro.curves.operations import convolve as op_convolve

@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from repro.analysis.base import Analyzer
 from repro.context import AnalysisContext, MetricsRegistry, NULL_CONTEXT
 from repro.errors import AnalysisTimeoutError
@@ -51,6 +49,8 @@ def topology_for_seed(seed: int, *, quick: bool = False) -> Network:
     other flow (name order), so through aggregates that start at zero
     are fuzzed too.  ``quick`` caps the size for smoke runs.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     hi_servers, hi_flows = (4, 5) if quick else (7, 10)
     n_servers = int(rng.integers(2, hi_servers))

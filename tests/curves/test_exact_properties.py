@@ -17,6 +17,7 @@ from repro.curves.exact import exact_convolve, exact_deconvolve
 from repro.curves.kernels import use_kernel
 from repro.curves.operations import _auto_grid, convolve
 from repro.curves.piecewise import PiecewiseLinearCurve as P
+from tests.curves import examples
 
 # -- strategies --------------------------------------------------------
 
@@ -53,14 +54,14 @@ def _assert_pointwise_close(a, b, ts, atol=1e-7):
 # -- properties --------------------------------------------------------
 
 class TestConvolveAlgebra:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(mixed_curves(), mixed_curves())
     def test_commutative(self, f, g):
         ts = np.linspace(0.0, 40.0, 201)
         _assert_pointwise_close(exact_convolve(f, g),
                                 exact_convolve(g, f), ts)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     @given(mixed_curves(), mixed_curves(), convex_services())
     def test_associative(self, f, g, h):
         ts = np.linspace(0.0, 40.0, 101)
@@ -68,7 +69,7 @@ class TestConvolveAlgebra:
         right = exact_convolve(f, exact_convolve(g, h))
         _assert_pointwise_close(left, right, ts, atol=1e-6)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(mixed_curves(), mixed_curves())
     def test_dominated_by_both_operands_plus_origin(self, f, g):
         # (f ⊗ g)(t) <= f(t) + g(0) and <= f(0) + g(t)
@@ -79,7 +80,7 @@ class TestConvolveAlgebra:
 
 
 class TestGaloisConnection:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(concave_arrivals(), convex_services())
     def test_deconvolve_then_convolve_dominates(self, f, g):
         # (f ⊘ g) ⊗ g >= f  (the adjunction the output bound rests on)
@@ -87,7 +88,7 @@ class TestGaloisConnection:
         ts = np.linspace(0.0, 60.0, 241)
         assert np.all(out.sample(ts) >= f.sample(ts) - 1e-7)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(mixed_curves(), convex_services())
     @example(f=P([0.0, 0.5, 0.5902882710483099],
                  [0.0, 0.0, 0.08567566705063585], 0.25),
@@ -99,7 +100,7 @@ class TestGaloisConnection:
 
 
 class TestExactVsGridEnvelope:
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25), deadline=None)
     @given(mixed_curves(), convex_services())
     def test_convolution_within_grid_envelope(self, f, g):
         exact = exact_convolve(f, g)

@@ -16,6 +16,7 @@ from repro.curves import numeric
 from repro.curves.piecewise import PiecewiseLinearCurve as P
 from repro.curves.token_bucket import TokenBucket
 from repro.utils.grid import make_grid
+from tests.curves import examples
 
 # -- strategies --------------------------------------------------------
 
@@ -113,7 +114,7 @@ class TestConvolutionProperties:
         for t in [0.0, 2.0, 11.0, 50.0]:
             assert c(t) <= min(f(t), g(t)) + 1e-9
 
-    @settings(max_examples=25)
+    @settings(max_examples=examples(25))
     @given(convex_curves(), convex_curves(),
            st.floats(min_value=0.1, max_value=30.0))
     def test_convex_convolution_matches_brute_force(self, f, g, t):
@@ -165,7 +166,7 @@ class TestDeviationProperties:
 
 
 class TestGridConsistency:
-    @settings(max_examples=20)
+    @settings(max_examples=examples(20))
     @given(concave_curves())
     def test_sampling_roundtrip(self, f):
         g = make_grid(20.0, 501)
@@ -173,7 +174,7 @@ class TestGridConsistency:
         for t in [0.0, 3.0, 11.0, 19.0]:
             assert back(t) == pytest.approx(f(t), rel=1e-6, abs=1e-6)
 
-    @settings(max_examples=15)
+    @settings(max_examples=examples(15))
     @given(concave_curves(), convex_curves())
     def test_grid_hdev_close_to_exact(self, alpha, beta):
         exact = alpha.horizontal_deviation(beta)

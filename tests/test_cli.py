@@ -34,15 +34,16 @@ class TestParser:
 class TestImports:
     def test_service_and_cli_leave_scipy_unloaded(self):
         # scipy is imported by the one θ-family refinement that uses
-        # it, so starting the service or the CLI does not pay for it
+        # it, and numpy by the features that compute with it, so
+        # starting the service or the CLI pays for neither
         import subprocess
         import sys
 
         code = ("import sys, repro.service, repro.cli; "
-                "print('scipy' in sys.modules)")
+                "print('scipy' in sys.modules, 'numpy' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True).stdout
-        assert out.strip() == "False"
+        assert out.strip() == "False False"
 
 
 class TestAnalyze:
